@@ -21,12 +21,13 @@
 #include "enclave/attestation.hpp"
 #include "enclave/enclave.hpp"
 #include "linkage/fingerprint.hpp"
-#include "linkage/vptree.hpp"
+#include "linkage/linkage_db.hpp"
 #include "nn/kernels.hpp"
 #include "nn/network.hpp"
 #include "nn/presets.hpp"
 #include "securechannel/handshake.hpp"
 #include "securechannel/record.hpp"
+#include "util/mathx.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
@@ -508,64 +509,40 @@ BENCHMARK(BM_TrainBatchThreads)
     ->Arg(8)
     ->UseRealTime();
 
-void BM_VpTreeQuery(benchmark::State& state) {
-  Rng rng(2);
+// Exact k=9 query over one class segment of a LinkageDatabase (the
+// accountability query's kNN stage).  Two corpora: 10-dim unit vectors
+// in tight clusters, like Table-1 fingerprints, and 64-dim Gaussian
+// points.
+void BM_LinkageQuery(benchmark::State& state, bool clustered) {
   const std::size_t count = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<float>> points(count, std::vector<float>(64));
-  for (auto& p : points) {
-    for (float& x : p) x = rng.Gaussian();
+  const std::size_t dim = clustered ? 10 : 64;
+  Rng rng(2);
+  std::vector<linkage::Fingerprint> centers(16, linkage::Fingerprint(dim));
+  for (auto& c : centers) {
+    for (float& x : c) x = rng.Gaussian();
   }
-  const linkage::VpTree tree(points);
-  std::vector<float> query(64);
-  for (float& x : query) x = rng.Gaussian();
+  const auto sample = [&] {
+    linkage::Fingerprint p(dim);
+    if (clustered) {
+      const auto& c = centers[rng.UniformU64(centers.size())];
+      for (std::size_t d = 0; d < dim; ++d) p[d] = c[d] + 0.1F * rng.Gaussian();
+      L2NormalizeInPlace(p);
+    } else {
+      for (float& x : p) x = rng.Gaussian();
+    }
+    return p;
+  };
+  std::vector<linkage::LinkageRecord> records(count);
+  for (auto& r : records) r.fingerprint = sample();
+  linkage::LinkageDatabase db;
+  (void)db.InsertBatch(std::move(records));
+  const linkage::Fingerprint query = sample();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Search(query, 9));
+    benchmark::DoNotOptimize(db.QueryNearest(query, 0, 9));
   }
 }
-BENCHMARK(BM_VpTreeQuery)->Arg(1000)->Arg(10000);
-
-// Batched kNN, serial vs parallel, over the same VP-tree.
-void BM_VpTreeQueryBatchThreads(benchmark::State& state) {
-  const std::size_t count = static_cast<std::size_t>(state.range(0));
-  const unsigned threads = static_cast<unsigned>(state.range(1));
-  util::ScopedThreads guard(threads);
-  Rng rng(2);
-  std::vector<std::vector<float>> points(count, std::vector<float>(64));
-  for (auto& p : points) {
-    for (float& x : p) x = rng.Gaussian();
-  }
-  const linkage::VpTree tree(points);
-  std::vector<std::vector<float>> queries(256, std::vector<float>(64));
-  for (auto& q : queries) {
-    for (float& x : q) x = rng.Gaussian();
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.SearchBatch(queries, 9));
-  }
-  state.counters["threads"] = threads;
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(queries.size()));
-}
-BENCHMARK(BM_VpTreeQueryBatchThreads)
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 4})
-    ->UseRealTime();
-
-void BM_BruteForceQuery(benchmark::State& state) {
-  Rng rng(2);
-  const std::size_t count = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<float>> points(count, std::vector<float>(64));
-  for (auto& p : points) {
-    for (float& x : p) x = rng.Gaussian();
-  }
-  std::vector<float> query(64);
-  for (float& x : query) x = rng.Gaussian();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linkage::BruteForceKnn(points, query, 9));
-  }
-}
-BENCHMARK(BM_BruteForceQuery)->Arg(1000)->Arg(10000);
+BENCHMARK_CAPTURE(BM_LinkageQuery, clustered10, true)->Arg(1000)->Arg(10000);
+BENCHMARK_CAPTURE(BM_LinkageQuery, gauss64, false)->Arg(1000)->Arg(10000);
 
 // Console output plus a captured {op, shape, ns/op, GFLOP/s, threads}
 // row per run for the --json emitter.

@@ -466,11 +466,6 @@ linkage::LinkageDatabase TrainingServer::FingerprintAll(
     fingerprint_enclave_->Ecall([&] {
       (void)db.InsertBatch(std::move(records));
     });
-    // Fold every class's tail into its VP-tree on the pool before the
-    // database is handed to the query stage (indexes are derived data;
-    // queries answer identically either way, just without the first-hit
-    // build cost).
-    db.RebuildIndexes();
   }
   fingerprint_enclave_->epc().Free(model_region);
   return db;
@@ -500,8 +495,7 @@ TrainingServer::ReleasedModel TrainingServer::ReleaseModelFor(
           ? model_->SerializeWeightRange(0, released_front_layers_)
           : Bytes{};
   training_enclave_->Ecall([&] {
-    released.frontnet_iv = training_enclave_->drbg().Generate(
-        crypto::kGcmIvSize);
+    released.frontnet_iv = training_enclave_->RandomBytes(crypto::kGcmIvSize);
     const crypto::GcmSealed sealed = creds->cipher.Seal(
         released.frontnet_iv, BytesOf("frontnet:" + participant_id),
         frontnet);

@@ -52,6 +52,7 @@ Quote AttestationService::GenerateQuote(const Enclave& enclave,
   quote.measurement = enclave.measurement();
   quote.report_data.assign(report_data.begin(), report_data.end());
   const Bytes body = quote.SignedBody();
+  util::MutexLock lock(drbg_mu_);
   quote.signature = crypto::SchnorrSign(key_, body, drbg_);
   return quote;
 }

@@ -13,6 +13,8 @@
 #include "crypto/schnorr.hpp"
 #include "enclave/enclave.hpp"
 #include "util/bytes.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace caltrain::enclave {
 
@@ -39,16 +41,19 @@ class AttestationService {
     return key_.public_value;
   }
 
-  /// Issues a quote for `enclave` embedding `report_data`.
+  /// Issues a quote for `enclave` embedding `report_data`.  Safe to
+  /// call concurrently: the signing nonce draws are serialized.
   [[nodiscard]] Quote GenerateQuote(const Enclave& enclave,
-                                    BytesView report_data);
+                                    BytesView report_data)
+      EXCLUDES(drbg_mu_);
 
   /// Participant-side verification against the published service key.
   [[nodiscard]] static bool VerifyQuote(crypto::U128 service_public_key,
                                         const Quote& quote) noexcept;
 
  private:
-  crypto::HmacDrbg drbg_;
+  util::Mutex drbg_mu_;
+  crypto::HmacDrbg drbg_ GUARDED_BY(drbg_mu_);
   crypto::SchnorrKeyPair key_;
 };
 

@@ -34,6 +34,16 @@ Enclave::Enclave(EnclaveConfig config)
       epc_(config_.epc),
       drbg_(SeedBytes(config_.seed), BytesOf(config_.name)) {}
 
+Bytes Enclave::RandomBytes(std::size_t length) {
+  util::MutexLock lock(drbg_mu_);
+  return drbg_.Generate(length);
+}
+
+crypto::DhKeyPair Enclave::GenerateDhKeyPair() {
+  util::MutexLock lock(drbg_mu_);
+  return crypto::DhGenerate(drbg_);
+}
+
 crypto::AesGcm Enclave::SealingCipher() const {
   // Sealing key bound to the measurement: HKDF(processor fuse key,
   // measurement).  The "fuse key" is fixed for the simulated CPU.

@@ -20,10 +20,13 @@
 
 #include "crypto/drbg.hpp"
 #include "crypto/gcm.hpp"
+#include "crypto/group.hpp"
 #include "crypto/sha256.hpp"
 #include "enclave/epc.hpp"
 #include "util/bytes.hpp"
 #include "util/fault.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace caltrain::enclave {
 
@@ -104,7 +107,11 @@ class Enclave {
   [[nodiscard]] const EpcManager& epc() const noexcept { return epc_; }
 
   /// On-chip randomness (simulated RDRAND/RDSEED behind a DRBG).
-  [[nodiscard]] crypto::HmacDrbg& drbg() noexcept { return drbg_; }
+  /// Concurrent callers (e.g. handshakes of several participants) are
+  /// serialized on one lock, so every draw is a whole DRBG step.
+  [[nodiscard]] Bytes RandomBytes(std::size_t length) EXCLUDES(drbg_mu_);
+  /// A fresh Diffie-Hellman key pair drawn from the on-chip DRBG.
+  [[nodiscard]] crypto::DhKeyPair GenerateDhKeyPair() EXCLUDES(drbg_mu_);
 
   /// Seals data to this enclave's measurement (MRENCLAVE policy): only
   /// an enclave with the same measurement can unseal.
@@ -117,7 +124,8 @@ class Enclave {
   EnclaveConfig config_;
   crypto::Sha256Digest measurement_{};
   EpcManager epc_;
-  crypto::HmacDrbg drbg_;
+  util::Mutex drbg_mu_;
+  crypto::HmacDrbg drbg_ GUARDED_BY(drbg_mu_);
   std::atomic<std::uint64_t> ecalls_{0};
   std::atomic<std::uint64_t> ocalls_{0};
   std::uint64_t seal_counter_ = 0;

@@ -1,6 +1,8 @@
 #include "linkage/linkage_db.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "data/packaging.hpp"
@@ -23,12 +25,107 @@ bool MatchOrder(const QueryMatch& a, const QueryMatch& b) {
   return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
 }
 
+/// A scanned row: its squared distance, distance, and segment
+/// position (position order == id order within a segment).
+struct Candidate {
+  double squared = 0.0;
+  double distance = 0.0;
+  std::size_t pos = 0;
+};
+
+bool CandidateOrder(const Candidate& a, const Candidate& b) {
+  return a.distance < b.distance ||
+         (a.distance == b.distance && a.pos < b.pos);
+}
+
+/// The k best rows seen so far under (distance, pos) order, as a heap
+/// whose front is the worst.  Rows arrive in ascending position, so a
+/// newcomer displaces the worst only when strictly closer — and since
+/// sqrt is monotone, only when its squared distance is smaller too,
+/// which lets the scan skip the sqrt for almost every row.
+class KBest {
+ public:
+  explicit KBest(std::size_t k) : k_(k) { heap_.reserve(k); }
+
+  /// `pos` must exceed every position offered before.
+  void Offer(double squared, std::size_t pos) {
+    if (heap_.size() < k_) {
+      heap_.push_back(Candidate{squared, std::sqrt(squared), pos});
+      std::push_heap(heap_.begin(), heap_.end(), CandidateOrder);
+      if (heap_.size() == k_) bound_ = heap_.front().squared;
+      return;
+    }
+    if (!(squared < bound_)) return;
+    const double distance = std::sqrt(squared);
+    if (!(distance < heap_.front().distance)) return;
+    std::pop_heap(heap_.begin(), heap_.end(), CandidateOrder);
+    heap_.back() = Candidate{squared, distance, pos};
+    std::push_heap(heap_.begin(), heap_.end(), CandidateOrder);
+    bound_ = heap_.front().squared;
+  }
+
+  /// The winners, closest first.
+  [[nodiscard]] std::vector<Candidate> Take() {
+    std::sort_heap(heap_.begin(), heap_.end(), CandidateOrder);
+    return std::move(heap_);
+  }
+
+ private:
+  std::size_t k_;
+  double bound_ = std::numeric_limits<double>::infinity();
+  std::vector<Candidate> heap_;
+};
+
+constexpr std::size_t kBlockRows = 1024;  ///< rows per store block
+constexpr std::size_t kLanes = 8;         ///< rows per panel
+static_assert(kBlockRows % kLanes == 0);
+
+/// Squared L2 distances from `q` to the kLanes rows of one full panel.
+/// Each lane sums (x - q)^2 in double, in dimension order — the exact
+/// operation sequence of L2Distance, so every sum has its bits.  The
+/// lane loop is plain code the compiler vectorizes.
+void PanelSquaredDistances(const float* panel, const double* q,
+                           std::size_t dim, double* out) {
+  double acc[kLanes] = {};
+  for (std::size_t d = 0; d < dim; ++d) {
+    const float* x = panel + d * kLanes;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const double diff = static_cast<double>(x[l]) - q[d];
+      acc[l] += diff * diff;
+    }
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) out[l] = acc[l];
+}
+
+/// Offers the first `rows` rows of one store block to `best`: all
+/// squared distances first, then one filtering pass (kept apart so the
+/// distance loop stays a tight vectorized nest).  A partial last panel
+/// is read row by row, only its valid rows, since an appender may be
+/// writing the rest.
+void ScanBlock(const float* block, std::size_t rows, const double* q,
+               std::size_t dim, std::size_t first_pos, KBest& best) {
+  double squared[kBlockRows] = {};
+  const std::size_t full = rows / kLanes * kLanes;
+  for (std::size_t first = 0; first < full; first += kLanes) {
+    PanelSquaredDistances(block + first * dim, q, dim, squared + first);
+  }
+  const float* panel = block + full * dim;
+  for (std::size_t l = 0; full + l < rows; ++l) {
+    double acc = 0.0;
+    for (std::size_t d = 0; d < dim; ++d) {
+      const double diff = static_cast<double>(panel[d * kLanes + l]) - q[d];
+      acc += diff * diff;
+    }
+    squared[full + l] = acc;
+  }
+  for (std::size_t r = 0; r < rows; ++r) best.Offer(squared[r], first_pos + r);
+}
+
 }  // namespace
 
 LinkageDatabase::LinkageDatabase(LinkageDatabase&& other) noexcept
     : segments_(std::move(other.segments_)),
-      locator_(std::move(other.locator_)),
-      tail_limit_(other.tail_limit_) {}
+      locator_(std::move(other.locator_)) {}
 
 LinkageDatabase& LinkageDatabase::operator=(LinkageDatabase&& other) noexcept {
   if (this == &other) return *this;
@@ -41,7 +138,6 @@ LinkageDatabase& LinkageDatabase::operator=(LinkageDatabase&& other) noexcept {
   util::MutexLock this_lock(directory_mu_);
   segments_ = std::move(other.segments_);
   locator_ = std::move(other.locator_);
-  tail_limit_ = other.tail_limit_;
   return *this;
 }
 
@@ -55,7 +151,7 @@ std::uint64_t LinkageDatabase::Insert(Fingerprint fingerprint, int label,
   {
     util::MutexLock lock(directory_mu_);
     id = locator_.size();
-    segment = EnsureSegmentLocked(label);
+    segment = EnsureSegmentLocked(label, fingerprint.size());
     pos = segment->reserved++;
     locator_.push_back(Location{segment, pos});
   }
@@ -65,13 +161,8 @@ std::uint64_t LinkageDatabase::Insert(Fingerprint fingerprint, int label,
     // still-unlanded slot in this segment; uncontended inserts append
     // immediately.
     while (segment->tuples.size() != pos) segment->appended.Wait(lock);
-    LinkageTuple tuple;
-    tuple.id = id;
-    tuple.fingerprint = std::move(fingerprint);
-    tuple.label = label;
-    tuple.source = std::move(source);
-    tuple.hash = hash;
-    segment->tuples.push_back(std::move(tuple));
+    AppendLocked(*segment, LinkageTuple{id, std::move(fingerprint), label,
+                                        std::move(source), hash});
   }
   segment->appended.NotifyAll();
   return id;
@@ -96,19 +187,41 @@ std::vector<std::uint64_t> LinkageDatabase::InsertBatch(
     std::vector<std::size_t> items;      ///< record indices, ascending
   };
   std::vector<Group> groups;
+  std::unordered_map<int, std::size_t> group_of;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [it, fresh] =
+        group_of.try_emplace(records[i].label, groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].items.push_back(i);
+  }
   {
     util::MutexLock lock(directory_mu_);
+    // Check every dimension before reserving anything: a reserved
+    // slot that never lands would stall every later append to its
+    // class.
+    for (const Group& group : groups) {
+      const LinkageRecord& first = records[group.items.front()];
+      const auto it = segments_.find(first.label);
+      const std::size_t dim =
+          it == segments_.end() ? first.fingerprint.size() : it->second->dim;
+      for (const std::size_t i : group.items) {
+        CALTRAIN_REQUIRE(records[i].fingerprint.size() == dim,
+                         "fingerprint dimension differs within a class");
+      }
+    }
     const std::uint64_t base = locator_.size();
-    std::unordered_map<int, std::size_t> group_of;
-    locator_.reserve(locator_.size() + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      Segment* segment = EnsureSegmentLocked(records[i].label);
-      const auto [it, fresh] =
-          group_of.try_emplace(records[i].label, groups.size());
-      if (fresh) groups.push_back(Group{segment, segment->reserved, {}});
-      groups[it->second].items.push_back(i);
-      locator_.push_back(Location{segment, segment->reserved++});
-      ids[i] = base + static_cast<std::uint64_t>(i);
+    locator_.resize(locator_.size() + n);
+    for (Group& group : groups) {
+      const LinkageRecord& first = records[group.items.front()];
+      group.segment =
+          EnsureSegmentLocked(first.label, first.fingerprint.size());
+      group.first_pos = group.segment->reserved;
+      group.segment->reserved += group.items.size();
+      for (std::size_t j = 0; j < group.items.size(); ++j) {
+        const std::size_t i = group.items[j];
+        locator_[base + i] = Location{group.segment, group.first_pos + j};
+        ids[i] = base + static_cast<std::uint64_t>(i);
+      }
     }
   }
 
@@ -125,13 +238,9 @@ std::vector<std::uint64_t> LinkageDatabase::InsertBatch(
     // not propagate into lambda bodies).
     seg.mu.AssertHeld();
     for (const std::size_t i : group.items) {
-      LinkageTuple tuple;
-      tuple.id = ids[i];
-      tuple.fingerprint = std::move(records[i].fingerprint);
-      tuple.label = records[i].label;
-      tuple.source = std::move(records[i].source);
-      tuple.hash = records[i].hash;
-      seg.tuples.push_back(std::move(tuple));
+      LinkageRecord& r = records[i];
+      AppendLocked(seg, LinkageTuple{ids[i], std::move(r.fingerprint),
+                                     r.label, std::move(r.source), r.hash});
     }
   };
   std::vector<std::uint8_t> done(groups.size(), 0);
@@ -176,13 +285,14 @@ const LinkageTuple& LinkageDatabase::tuple(std::uint64_t id) const {
   return loc.segment->tuples[loc.pos];
 }
 
-LinkageDatabase::Segment* LinkageDatabase::EnsureSegmentLocked(int label) {
+LinkageDatabase::Segment* LinkageDatabase::EnsureSegmentLocked(
+    int label, std::size_t dim) {
   auto it = segments_.find(label);
   if (it == segments_.end()) {
-    auto segment = std::make_unique<Segment>();
-    segment->label = label;
-    it = segments_.emplace(label, std::move(segment)).first;
+    it = segments_.emplace(label, std::make_unique<Segment>(label, dim)).first;
   }
+  CALTRAIN_REQUIRE(it->second->dim == dim,
+                   "fingerprint dimension differs within a class");
   return it->second.get();
 }
 
@@ -192,108 +302,68 @@ LinkageDatabase::Segment* LinkageDatabase::FindSegment(int label) const {
   return it == segments_.end() ? nullptr : it->second.get();
 }
 
-void LinkageDatabase::RebuildSegmentLocked(Segment& seg) {
-  if (seg.index != nullptr && seg.indexed == seg.tuples.size()) return;
-  std::vector<std::vector<float>> points;
-  std::vector<std::uint64_t> ids;
-  std::vector<std::string> sources;
-  points.reserve(seg.tuples.size());
-  ids.reserve(seg.tuples.size());
-  sources.reserve(seg.tuples.size());
-  for (const LinkageTuple& t : seg.tuples) {
-    points.push_back(t.fingerprint);
-    ids.push_back(t.id);
-    sources.push_back(t.source);
+void LinkageDatabase::AppendLocked(Segment& seg, LinkageTuple tuple) {
+  const std::size_t pos = seg.tuples.size();
+  const std::size_t row = pos % kBlockRows;
+  if (row == 0) {
+    seg.blocks.push_back(std::make_unique<float[]>(kBlockRows * seg.dim));
   }
-  auto index = std::make_shared<SegmentIndex>(std::move(points));
-  index->ids = std::move(ids);
-  index->sources = std::move(sources);
-  seg.indexed = seg.tuples.size();
-  seg.index = std::move(index);
-  ++seg.generation;
+  float* panel = seg.blocks.back().get() + (row / kLanes) * seg.dim * kLanes;
+  for (std::size_t d = 0; d < seg.dim; ++d) {
+    panel[d * kLanes + row % kLanes] = tuple.fingerprint[d];
+  }
+  seg.tuples.push_back(std::move(tuple));
 }
 
-std::vector<QueryMatch> LinkageDatabase::QuerySegment(
-    Segment& seg, const Fingerprint& query, std::size_t k,
-    bool allow_rebuild) const {
-  std::vector<QueryMatch> matches;
-  std::shared_ptr<const SegmentIndex> index;
+std::vector<QueryMatch> LinkageDatabase::QuerySegment(Segment& seg,
+                                                      const Fingerprint& query,
+                                                      std::size_t k) {
+  CALTRAIN_REQUIRE(query.size() == seg.dim,
+                   "query fingerprint dimension differs from its class");
+  std::vector<const float*> blocks;
+  std::size_t rows = 0;
   {
     util::MutexLock lock(seg.mu);
-    if (allow_rebuild &&
-        (seg.index == nullptr ||
-         seg.tuples.size() - seg.indexed > tail_limit_)) {
-      RebuildSegmentLocked(seg);
-    }
-    index = seg.index;
-    // Brute-force the unindexed tail under the lock (it is bounded by
-    // tail_limit_); the tree snapshot is searched lock-free below.
-    for (std::size_t pos = seg.indexed; pos < seg.tuples.size(); ++pos) {
-      const LinkageTuple& t = seg.tuples[pos];
-      matches.push_back(QueryMatch{
-          t.id, FingerprintDistance(t.fingerprint, query), t.label, t.source});
-    }
+    rows = seg.tuples.size();
+    blocks.reserve(seg.blocks.size());
+    for (const auto& block : seg.blocks) blocks.push_back(block.get());
   }
-  if (index != nullptr) {
-    const std::vector<Neighbor> neighbors = index->tree.Search(query, k);
-    for (const Neighbor& n : neighbors) {
-      matches.push_back(QueryMatch{index->ids[n.index], n.distance, seg.label,
-                                   index->sources[n.index]});
-    }
+  if (rows == 0 || k == 0) return {};
+  // The first `rows` rows are immutable from here on: scan them
+  // without the lock.
+  const std::vector<double> q(query.begin(), query.end());
+  KBest best(std::min(k, rows));
+  for (std::size_t b = 0; b * kBlockRows < rows; ++b) {
+    ScanBlock(blocks[b], std::min(kBlockRows, rows - b * kBlockRows),
+              q.data(), seg.dim, b * kBlockRows, best);
   }
-  // The tree already returns its k best in (distance, index) ==
-  // (distance, id) order; merging with the tail and re-sorting yields
-  // the exact global top-k with (distance, id) tie-breaking — the same
-  // order as QueryNearestBruteForce.
-  std::sort(matches.begin(), matches.end(), MatchOrder);
-  if (matches.size() > k) matches.resize(k);
+  const std::vector<Candidate> winners = best.Take();
+  std::vector<QueryMatch> matches;
+  matches.reserve(winners.size());
+  util::MutexLock lock(seg.mu);
+  for (const Candidate& c : winners) {
+    const LinkageTuple& t = seg.tuples[c.pos];
+    matches.push_back(QueryMatch{t.id, c.distance, seg.label, t.source});
+  }
   return matches;
 }
 
 std::vector<QueryMatch> LinkageDatabase::QueryNearest(const Fingerprint& query,
                                                       int label,
-                                                      std::size_t k) {
+                                                      std::size_t k) const {
   Segment* seg = FindSegment(label);
   if (seg == nullptr) return {};
-  return QuerySegment(*seg, query, k, /*allow_rebuild=*/true);
+  return QuerySegment(*seg, query, k);
 }
 
 std::vector<std::vector<QueryMatch>> LinkageDatabase::QueryNearestBatch(
     const std::vector<Fingerprint>& queries, const std::vector<int>& labels,
-    std::size_t k) {
+    std::size_t k) const {
   CALTRAIN_REQUIRE(queries.size() == labels.size(),
                    "batch query/label size mismatch");
-  // Fold the queried classes' tails in first (parallel across
-  // segments), then answer the queries in parallel over the immutable
-  // index snapshots.  Only the distinct labels of this batch are
-  // touched — results are identical either way (the tail scan keeps
-  // unfolded segments exact), this just avoids building indexes no
-  // query needs.
-  std::unordered_map<int, Segment*> needed;  // distinct queried classes
-  {
-    util::MutexLock lock(directory_mu_);
-    for (const int label : labels) {
-      const auto it = segments_.find(label);
-      needed.emplace(label, it == segments_.end() ? nullptr
-                                                  : it->second.get());
-    }
-  }
-  std::vector<Segment*> to_fold;
-  for (const auto& [label, seg] : needed) {
-    if (seg != nullptr) to_fold.push_back(seg);
-  }
-  util::ParallelFor(0, to_fold.size(), [&](std::size_t i) {
-    util::MutexLock lock(to_fold[i]->mu);
-    RebuildSegmentLocked(*to_fold[i]);
-  });
-  // The query loop reads segments through the prefold's snapshot — no
-  // per-query directory lock.
   std::vector<std::vector<QueryMatch>> results(queries.size());
   util::ParallelFor(0, queries.size(), [&](std::size_t i) {
-    Segment* seg = needed.at(labels[i]);
-    if (seg != nullptr) {
-      results[i] = QuerySegment(*seg, queries[i], k, /*allow_rebuild=*/false);
-    }
+    results[i] = QueryNearest(queries[i], labels[i], k);
   });
   return results;
 }
@@ -314,39 +384,6 @@ std::vector<QueryMatch> LinkageDatabase::QueryNearestBruteForce(
   std::sort(all.begin(), all.end(), MatchOrder);
   if (all.size() > k) all.resize(k);
   return all;
-}
-
-void LinkageDatabase::RebuildIndexes() {
-  std::vector<Segment*> segments;
-  {
-    util::MutexLock lock(directory_mu_);
-    segments.reserve(segments_.size());
-    for (const auto& [label, seg] : segments_) segments.push_back(seg.get());
-  }
-  // Stable order for the fan-out (segments are independent, so this
-  // only affects scheduling, not results).
-  std::sort(segments.begin(), segments.end(),
-            [](const Segment* a, const Segment* b) {
-              return a->label < b->label;
-            });
-  util::ParallelFor(0, segments.size(), [&](std::size_t i) {
-    util::MutexLock lock(segments[i]->mu);
-    RebuildSegmentLocked(*segments[i]);
-  });
-}
-
-std::uint64_t LinkageDatabase::IndexGeneration(int label) const {
-  Segment* seg = FindSegment(label);
-  if (seg == nullptr) return 0;
-  util::MutexLock lock(seg->mu);
-  return seg->generation;
-}
-
-std::size_t LinkageDatabase::UnindexedTailSize(int label) const {
-  Segment* seg = FindSegment(label);
-  if (seg == nullptr) return 0;
-  util::MutexLock lock(seg->mu);
-  return seg->tuples.size() - seg->indexed;
 }
 
 bool LinkageDatabase::VerifySubmission(std::uint64_t id,
@@ -400,7 +437,11 @@ LinkageDatabase LinkageDatabase::Deserialize(BytesView blob) {
   LinkageDatabase db;
   const std::uint64_t count = reader.ReadU64();
   std::vector<LinkageRecord> records;
-  records.reserve(count);
+  // `count` is untrusted: pre-size only for the tuples the blob can
+  // still hold.  The smallest tuple is 48 bytes — empty fingerprint,
+  // label, empty source and the 32-byte hash with their length
+  // prefixes.
+  records.reserve(std::min<std::uint64_t>(count, reader.remaining() / 48));
   for (std::uint64_t i = 0; i < count; ++i) {
     LinkageRecord record;
     record.fingerprint = reader.ReadF32Vector();

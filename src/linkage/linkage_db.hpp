@@ -14,14 +14,13 @@
 // trained on.
 //
 // Storage is sharded into per-class *segments*: each segment owns its
-// class's tuples (in ascending-id order), its own VP-tree index
-// snapshot, a generation counter, and a mutex.  Inserting into class Y
-// touches only Y's segment, so inserts into different classes proceed
-// concurrently and never invalidate another class's index.  Index
-// maintenance is incremental: a query is answered from the segment's
-// last-built tree plus a brute-force scan of the small unindexed tail;
-// RebuildIndexes() (or a tail outgrowing tail_limit()) folds the tail
-// into a fresh tree.
+// class's tuples (in ascending-id order), an append-only panel store
+// of their fingerprints, and a mutex.  Inserting into class Y touches
+// only Y's segment, so inserts into different classes proceed
+// concurrently.  There is no separate index: a query copies the
+// segment's block list under the mutex and scans every row of it
+// without the lock (see Segment), so an insert is visible to the very
+// next query and there is nothing to rebuild.
 //
 // Determinism contract: ids are assigned in insertion order
 // (InsertBatch i-th record gets id base+i regardless of thread count),
@@ -40,7 +39,6 @@
 
 #include "crypto/sha256.hpp"
 #include "linkage/fingerprint.hpp"
-#include "linkage/vptree.hpp"
 #include "util/mutex.hpp"
 #include "util/serial.hpp"
 #include "util/thread_annotations.hpp"
@@ -79,8 +77,9 @@ class LinkageDatabase {
   LinkageDatabase& operator=(LinkageDatabase&& other) noexcept;
 
   /// Inserts a tuple; returns the assigned id.  Only the target
-  /// class's segment is touched (its unindexed tail grows by one) —
-  /// every other class's index stays valid.
+  /// class's segment is touched.  Every fingerprint of a class must
+  /// have the dimension of the class's first one; a mismatch throws
+  /// before anything is inserted.
   std::uint64_t Insert(Fingerprint fingerprint, int label, std::string source,
                        const crypto::Sha256Digest& hash);
 
@@ -88,7 +87,8 @@ class LinkageDatabase {
   /// reserved up front, so the result is identical to calling Insert
   /// serially), while the per-class segment appends fan out over the
   /// thread pool.  Concurrent InsertBatch calls from different threads
-  /// are safe; each call's id range is contiguous.
+  /// are safe; each call's id range is contiguous.  A batch holding
+  /// an invalid record (see Insert) throws and inserts nothing.
   std::vector<std::uint64_t> InsertBatch(std::vector<LinkageRecord> records);
 
   [[nodiscard]] std::size_t size() const;
@@ -96,50 +96,29 @@ class LinkageDatabase {
 
   /// The k nearest training fingerprints *within class `label`*
   /// (Y = Y_test restriction), closest first with (distance, id)
-  /// tie-breaking.  Answered from the class segment's VP-tree plus a
-  /// brute-force scan of its unindexed tail; a tail larger than
-  /// tail_limit() (or a missing tree) triggers a segment rebuild
-  /// first.  An unknown class returns an empty result.
+  /// tie-breaking: an exact scan of the class segment whose distances
+  /// carry the same bits as L2Distance, so the result equals
+  /// QueryNearestBruteForce element-wise.  An unknown class returns an
+  /// empty result.
   [[nodiscard]] std::vector<QueryMatch> QueryNearest(
-      const Fingerprint& query, int label, std::size_t k);
+      const Fingerprint& query, int label, std::size_t k) const;
 
   /// Batched form of QueryNearest: result[i] answers
-  /// (queries[i], labels[i], k).  Folds the queried classes' tails in
-  /// up front (parallel across segments), then runs the queries in
-  /// parallel over the immutable index snapshots; results are
-  /// element-wise identical to calling QueryNearest serially, at every
-  /// thread count.
+  /// (queries[i], labels[i], k).  The queries run in parallel on the
+  /// thread pool; results are element-wise identical to calling
+  /// QueryNearest serially, at every thread count.
   [[nodiscard]] std::vector<std::vector<QueryMatch>> QueryNearestBatch(
       const std::vector<Fingerprint>& queries, const std::vector<int>& labels,
-      std::size_t k);
+      std::size_t k) const;
 
   /// Reference brute-force query (tests assert agreement).
   [[nodiscard]] std::vector<QueryMatch> QueryNearestBruteForce(
       const Fingerprint& query, int label, std::size_t k) const;
 
-  /// Folds every segment's unindexed tail into a fresh VP-tree, one
-  /// segment per pool task.  Deterministic: each segment's tree is
-  /// built over its tuples in ascending-id order.  Segments that are
-  /// already fully indexed are left untouched (their generation does
-  /// not change).
-  void RebuildIndexes();
-
-  /// Number of times class `label`'s index has been (re)built (0 if
-  /// the class is unknown or its index was never built).  Tests use
-  /// this to enforce that inserts into one class never invalidate
-  /// another class's index.
-  [[nodiscard]] std::uint64_t IndexGeneration(int label) const;
-
-  /// Tuples of class `label` not yet covered by its index (answered by
-  /// the brute-force tail scan until the next rebuild).
-  [[nodiscard]] std::size_t UnindexedTailSize(int label) const;
-
-  /// Tail size beyond which a serial QueryNearest folds the tail into
-  /// a fresh tree before answering (default 256).
-  [[nodiscard]] std::size_t tail_limit() const noexcept {
-    return tail_limit_;
-  }
-  void set_tail_limit(std::size_t limit) noexcept { tail_limit_ = limit; }
+  /// Does nothing: there is no index to build.  Kept only because
+  /// perfbench/src/{train,investigate}.cpp still call it; delete it
+  /// together with those calls.
+  void RebuildIndexes() const noexcept {}
 
   /// Forensic step: a participant turns in (image, label) claimed to be
   /// training instance `id`; verifies the hash digest H matches.
@@ -158,34 +137,22 @@ class LinkageDatabase {
   [[nodiscard]] static LinkageDatabase Deserialize(BytesView blob);
 
  private:
-  /// Immutable index snapshot of one segment: a VP-tree over the
-  /// fingerprints of the first `ids.size()` tuples (ascending id, so
-  /// the tree's (distance, index) tie-break order equals the
-  /// database's (distance, id) order) plus the id/source columns
-  /// needed to materialize QueryMatch rows without touching the
-  /// segment.
-  struct SegmentIndex {
-    explicit SegmentIndex(std::vector<std::vector<float>> points)
-        : tree(std::move(points)) {}
-    VpTree tree;
-    std::vector<std::uint64_t> ids;      ///< tree position -> tuple id
-    std::vector<std::string> sources;    ///< tree position -> source
-  };
-
   /// One class's shard.  `tuples` only ever grows, in ascending-id
-  /// order (a deque keeps references stable across appends); `index`
-  /// covers the first `indexed` tuples and is replaced wholesale on
-  /// rebuild, so in-flight queries holding the old snapshot stay
-  /// valid.
+  /// order (a deque keeps references stable across appends).
+  /// `blocks` holds the same fingerprints for the scan: blocks of
+  /// 1024 rows that never move once allocated; inside a block, rows
+  /// sit in 8-row panels stored dimension-major (element d of block
+  /// row r is at [(r / 8) * dim * 8 + d * 8 + r % 8]), the packing of
+  /// nn/gemm_tile.inc.  Rows below tuples.size() are never written
+  /// again, so a query may read them after releasing `mu`.
   struct Segment {
+    Segment(int label, std::size_t dim) : label(label), dim(dim) {}
     util::Mutex mu;
-    int label = 0;  ///< immutable after creation
+    const int label;
+    /// Fingerprint dimension, fixed by the first reservation.
+    const std::size_t dim;
     std::deque<LinkageTuple> tuples GUARDED_BY(mu);
-    std::shared_ptr<const SegmentIndex> index GUARDED_BY(mu);
-    /// Tuples covered by `index`.
-    std::size_t indexed GUARDED_BY(mu) = 0;
-    /// Number of index builds.
-    std::uint64_t generation GUARDED_BY(mu) = 0;
+    std::vector<std::unique_ptr<float[]>> blocks GUARDED_BY(mu);
     /// Slots handed out (>= tuples.size()).  Guarded by the *outer*
     /// LinkageDatabase::directory_mu_, not by `mu` — the capability
     /// language cannot name the owning database's mutex from here, so
@@ -202,14 +169,15 @@ class LinkageDatabase {
     std::size_t pos = 0;
   };
 
-  Segment* EnsureSegmentLocked(int label) REQUIRES(directory_mu_);
+  /// The segment of `label`, created with dimension `dim` if absent;
+  /// throws if an existing segment has another dimension.
+  Segment* EnsureSegmentLocked(int label, std::size_t dim)
+      REQUIRES(directory_mu_);
   [[nodiscard]] Segment* FindSegment(int label) const
       EXCLUDES(directory_mu_);
-  static void RebuildSegmentLocked(Segment& seg) REQUIRES(seg.mu);
-  [[nodiscard]] std::vector<QueryMatch> QuerySegment(Segment& seg,
-                                                     const Fingerprint& query,
-                                                     std::size_t k,
-                                                     bool allow_rebuild) const
+  static void AppendLocked(Segment& seg, LinkageTuple tuple) REQUIRES(seg.mu);
+  [[nodiscard]] static std::vector<QueryMatch> QuerySegment(
+      Segment& seg, const Fingerprint& query, std::size_t k)
       EXCLUDES(seg.mu);
 
   /// Guards segments_ (the label -> segment map), locator_, and every
@@ -219,7 +187,6 @@ class LinkageDatabase {
   std::unordered_map<int, std::unique_ptr<Segment>> segments_
       GUARDED_BY(directory_mu_);
   std::vector<Location> locator_ GUARDED_BY(directory_mu_);  ///< id == pos
-  std::size_t tail_limit_ = 256;
 };
 
 }  // namespace caltrain::linkage

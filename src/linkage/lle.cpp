@@ -3,10 +3,38 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linkage/vptree.hpp"
 #include "util/error.hpp"
+#include "util/mathx.hpp"
 
 namespace caltrain::linkage {
+
+namespace {
+
+struct Neighbor {
+  std::size_t index = 0;  ///< index into the point set
+  double distance = 0.0;
+};
+
+/// Exact k-NN by brute force, closest first, ties on ascending index.
+std::vector<Neighbor> BruteForceKnn(
+    const std::vector<std::vector<float>>& points,
+    const std::vector<float>& query, std::size_t k) {
+  std::vector<Neighbor> all(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    all[i] = Neighbor{i, L2Distance(points[i], query)};
+  }
+  const std::size_t take = std::min(k, all.size());
+  std::partial_sort(all.begin(),
+                    all.begin() + static_cast<std::ptrdiff_t>(take), all.end(),
+                    [](const Neighbor& a, const Neighbor& b) {
+                      return a.distance < b.distance ||
+                             (a.distance == b.distance && a.index < b.index);
+                    });
+  all.resize(take);
+  return all;
+}
+
+}  // namespace
 
 std::vector<double> SolveLinearSystem(std::vector<double> a,
                                       std::vector<double> b, std::size_t n) {

@@ -68,7 +68,7 @@ Bytes ServerHandshake::OnClientHello(BytesView client_hello) {
     CALTRAIN_REQUIRE(client_nonce.size() == kNonceSize && reader.AtEnd(),
                      "malformed ClientHello");
 
-    dh_ = crypto::DhGenerate(enclave_.drbg());
+    dh_ = enclave_.GenerateDhKeyPair();
     const crypto::U128 shared =
         crypto::DhSharedSecret(dh_.secret, client_pub);
 
@@ -77,7 +77,7 @@ Bytes ServerHandshake::OnClientHello(BytesView client_hello) {
     const enclave::Quote quote =
         attestation_.GenerateQuote(enclave_, binding);
 
-    Bytes server_nonce = enclave_.drbg().Generate(kNonceSize);
+    Bytes server_nonce = enclave_.RandomBytes(kNonceSize);
 
     ByteWriter core;
     core.WriteBytes(crypto::U128ToBytes(dh_.public_value));

@@ -3,6 +3,9 @@
 // query -> release), dynamic re-assessment, and learning hubs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "core/hubs.hpp"
 #include "core/participant.hpp"
 #include "core/partitioned.hpp"
@@ -441,6 +444,42 @@ TEST(ServerEdgeTest, ReleasePhaseErrorsAreTyped) {
   EXPECT_THROW(
       (void)TrainingServer::AssembleReleasedModel(mangled, alice.data_key()),
       Error);
+}
+
+TEST(ServerConcurrencyTest, ParticipantsProvisionFromManyThreads) {
+  // Every handshake draws its DH key and nonce from the one training
+  // enclave DRBG (and its quote signature from the one attestation
+  // service); concurrent provisioning must serialize those draws and
+  // still complete every handshake.
+  TrainingServer server;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2;
+  std::vector<Participant> participants;
+  participants.reserve(kThreads * kPerThread);
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    participants.emplace_back(std::string("p") + std::to_string(i),
+                              IntensityDataset(4, 500 + i), 600 + i);
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int j = 0; j < kPerThread; ++j) {
+        try {
+          participants[static_cast<std::size_t>(t * kPerThread + j)]
+              .Provision(server, server.training_measurement());
+        } catch (...) {  // recorded; must not escape the thread
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (const Participant& p : participants) {
+    EXPECT_TRUE(server.IsProvisioned(p.id())) << p.id();
+  }
 }
 
 TEST(ServerEdgeTest, KeyProvisionBeforeHandshakeRejected) {

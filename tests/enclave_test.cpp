@@ -172,11 +172,11 @@ TEST(EnclaveTest, UnsealRejectsGarbage) {
 TEST(EnclaveTest, DrbgIsDeterministicPerSeed) {
   Enclave a(TestConfig());
   Enclave b(TestConfig());
-  EXPECT_EQ(a.drbg().Generate(32), b.drbg().Generate(32));
+  EXPECT_EQ(a.RandomBytes(32), b.RandomBytes(32));
   EnclaveConfig different_seed = TestConfig();
   different_seed.seed = 8;
   Enclave c(different_seed);
-  EXPECT_NE(a.drbg().Generate(32), c.drbg().Generate(32));
+  EXPECT_NE(a.RandomBytes(32), c.RandomBytes(32));
 }
 
 TEST(AttestationTest, QuoteVerifies) {

@@ -1,5 +1,5 @@
-// Linkage substrate tests: fingerprints, VP-tree vs brute force,
-// the Omega database (queries, class restriction, hash verification,
+// Linkage substrate tests: fingerprints, the Omega database (panel
+// scan vs brute force, class restriction, hash verification,
 // persistence), LLE, and the accountability metrics.
 #include <gtest/gtest.h>
 
@@ -11,11 +11,11 @@
 #include "linkage/linkage_db.hpp"
 #include "linkage/lle.hpp"
 #include "linkage/metrics.hpp"
-#include "linkage/vptree.hpp"
 #include "nn/presets.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 #include "util/threadpool.hpp"
 
 namespace caltrain::linkage {
@@ -31,6 +31,30 @@ std::vector<std::vector<float>> RandomPoints(std::size_t n, std::size_t dim,
   return points;
 }
 
+/// Element-wise equality of two answers: ids, distance bits, sources.
+void ExpectSameMatches(const std::vector<QueryMatch>& got,
+                       const std::vector<QueryMatch>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << where << " rank " << i;
+    EXPECT_EQ(got[i].distance, want[i].distance) << where << " rank " << i;
+    EXPECT_EQ(got[i].source, want[i].source) << where << " rank " << i;
+    EXPECT_EQ(got[i].label, want[i].label) << where << " rank " << i;
+  }
+}
+
+/// A database holding `points` as one class (label 0), in order, with
+/// a distinct source per row.
+LinkageDatabase SingleClassDb(const std::vector<std::vector<float>>& points) {
+  LinkageDatabase db;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    (void)db.Insert(points[i], 0, "row" + std::to_string(i),
+                    crypto::Sha256Digest{});
+  }
+  return db;
+}
+
 TEST(FingerprintTest, IsNormalizedAndDeterministic) {
   Rng rng(1);
   nn::Network net = nn::BuildNetwork(nn::Table1Spec(32), rng);
@@ -43,61 +67,62 @@ TEST(FingerprintTest, IsNormalizedAndDeterministic) {
   EXPECT_EQ(a.size(), 10U);  // Table-1 penultimate = avg pool over classes
 }
 
-TEST(VpTreeTest, SearchBatchMatchesSerialSearchElementWise) {
-  const auto points = RandomPoints(300, 8, 31);
-  const VpTree tree(points);
-  const auto queries = RandomPoints(64, 8, 32);
+TEST(LinkageScanTest, MatchesBruteForce) {
+  const LinkageDatabase db = SingleClassDb(RandomPoints(200, 8, 21));
+  Rng rng(22);
+  for (int trial = 0; trial < 20; ++trial) {
+    Fingerprint query(8);
+    for (float& x : query) x = rng.Gaussian();
+    ExpectSameMatches(db.QueryNearest(query, 0, 7),
+                      db.QueryNearestBruteForce(query, 0, 7),
+                      "trial " + std::to_string(trial));
+  }
+}
 
-  std::vector<std::vector<Neighbor>> serial(queries.size());
+TEST(LinkageScanTest, ResultsSortedAscending) {
+  const auto points = RandomPoints(64, 4, 24);
+  const LinkageDatabase db = SingleClassDb(points);
+  const auto result = db.QueryNearest(points[10], 0, 10);
+  ASSERT_EQ(result.size(), 10U);
+  EXPECT_EQ(result[0].source, "row10");  // itself at distance 0
+  EXPECT_EQ(result[0].distance, 0.0);
+  for (std::size_t i = 1; i < result.size(); ++i) {
+    EXPECT_LE(result[i - 1].distance, result[i].distance);
+  }
+}
+
+TEST(LinkageScanTest, BatchMatchesSerialElementWise) {
+  const LinkageDatabase db = SingleClassDb(RandomPoints(300, 8, 31));
+  const auto queries = RandomPoints(64, 8, 32);
+  const std::vector<int> labels(queries.size(), 0);
+
+  std::vector<std::vector<QueryMatch>> serial(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    serial[i] = tree.Search(queries[i], 9);
+    serial[i] = db.QueryNearest(queries[i], 0, 9);
   }
   for (unsigned threads : {1U, 4U}) {
     util::ScopedThreads guard(threads);
-    const auto batch = tree.SearchBatch(queries, 9);
+    const auto batch = db.QueryNearestBatch(queries, labels, 9);
     ASSERT_EQ(batch.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(batch[i].size(), serial[i].size()) << "query " << i;
-      for (std::size_t r = 0; r < serial[i].size(); ++r) {
-        EXPECT_EQ(batch[i][r].index, serial[i][r].index)
-            << "query " << i << " rank " << r << " threads " << threads;
-        EXPECT_EQ(batch[i][r].distance, serial[i][r].distance)
-            << "query " << i << " rank " << r << " threads " << threads;
-      }
+      ExpectSameMatches(batch[i], serial[i],
+                        "query " + std::to_string(i) + " threads " +
+                            std::to_string(threads));
     }
   }
 }
 
-TEST(VpTreeTest, MatchesBruteForce) {
-  const auto points = RandomPoints(200, 8, 21);
-  const VpTree tree(points);
-  Rng rng(22);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<float> query(8);
-    for (float& x : query) x = rng.Gaussian();
-    const auto exact = BruteForceKnn(points, query, 7);
-    const auto fast = tree.Search(query, 7);
-    ASSERT_EQ(fast.size(), exact.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ(fast[i].index, exact[i].index)
-          << "rank " << i << " trial " << trial;
-      EXPECT_NEAR(fast[i].distance, exact[i].distance, 1e-9)
-          << "rank " << i << " trial " << trial;
-    }
-  }
-}
-
-TEST(VpTreeTest, TieHeavyDuplicatesMatchBruteForceElementWise) {
+TEST(LinkageScanTest, TieHeavyDuplicatesMatchBruteForceElementWise) {
   // Five exact copies of each of eight centers: every query hits
-  // 4-way (or, querying a center, zero-distance) ties, so the result
-  // set is only well-defined with the (distance, index) tie-break —
-  // tree and brute force must then agree element-wise.
+  // 5-way (or, querying a center, zero-distance) ties, so the result
+  // set is only well-defined with the (distance, id) tie-break — the
+  // scan and brute force must then agree element-wise.
   const auto centers = RandomPoints(8, 4, 71);
   std::vector<std::vector<float>> points;
   for (int copy = 0; copy < 5; ++copy) {
     for (const auto& c : centers) points.push_back(c);
   }
-  const VpTree tree(points);
+  const LinkageDatabase db = SingleClassDb(points);
   Rng rng(72);
   for (int trial = 0; trial < 24; ++trial) {
     std::vector<float> query;
@@ -108,39 +133,11 @@ TEST(VpTreeTest, TieHeavyDuplicatesMatchBruteForceElementWise) {
       for (float& x : query) x = rng.Gaussian();
     }
     for (const std::size_t k : {1U, 3U, 10U, 40U}) {
-      const auto exact = BruteForceKnn(points, query, k);
-      const auto fast = tree.Search(query, k);
-      ASSERT_EQ(fast.size(), exact.size()) << "k " << k << " trial " << trial;
-      for (std::size_t i = 0; i < exact.size(); ++i) {
-        EXPECT_EQ(fast[i].index, exact[i].index)
-            << "rank " << i << " k " << k << " trial " << trial;
-        EXPECT_EQ(fast[i].distance, exact[i].distance)
-            << "rank " << i << " k " << k << " trial " << trial;
-      }
+      ExpectSameMatches(db.QueryNearest(query, 0, k),
+                        db.QueryNearestBruteForce(query, 0, k),
+                        "trial " + std::to_string(trial) + " k " +
+                            std::to_string(k));
     }
-  }
-}
-
-TEST(VpTreeTest, KLargerThanSetReturnsAll) {
-  const auto points = RandomPoints(5, 3, 23);
-  const VpTree tree(points);
-  const auto result = tree.Search(points[0], 50);
-  EXPECT_EQ(result.size(), 5U);
-  EXPECT_EQ(result[0].index, 0U);  // itself at distance 0
-  EXPECT_NEAR(result[0].distance, 0.0, 1e-12);
-}
-
-TEST(VpTreeTest, EmptyTree) {
-  const VpTree tree({});
-  EXPECT_TRUE(tree.Search({1.0F}, 3).empty());
-}
-
-TEST(VpTreeTest, ResultsSortedAscending) {
-  const auto points = RandomPoints(64, 4, 24);
-  const VpTree tree(points);
-  const auto result = tree.Search(points[10], 10);
-  for (std::size_t i = 1; i < result.size(); ++i) {
-    EXPECT_LE(result[i - 1].distance, result[i].distance);
   }
 }
 
@@ -202,17 +199,16 @@ TEST_F(LinkageDbTest, PoisonClusterSurfacesForPoisonProbe) {
   EXPECT_GE(mallory, 8U);  // the poisoned subcluster dominates
 }
 
-TEST_F(LinkageDbTest, VpTreeQueryMatchesBruteForce) {
+TEST_F(LinkageDbTest, QueryMatchesBruteForce) {
   Rng rng(32);
   for (int trial = 0; trial < 10; ++trial) {
     Fingerprint probe(4);
     for (float& x : probe) x = rng.Gaussian();
     L2NormalizeInPlace(probe);
-    const auto fast = db_.QueryNearest(probe, 0, 6);
-    const auto exact = db_.QueryNearestBruteForce(probe, 0, 6);
-    ASSERT_EQ(fast.size(), exact.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_NEAR(fast[i].distance, exact[i].distance, 1e-9);
+    for (const int label : {0, 1}) {
+      ExpectSameMatches(db_.QueryNearest(probe, label, 6),
+                        db_.QueryNearestBruteForce(probe, label, 6),
+                        "trial " + std::to_string(trial));
     }
   }
 }
@@ -281,90 +277,61 @@ TEST_F(LinkageDbTest, SerializationRoundTrip) {
     EXPECT_EQ(a[i].source, b[i].source);
   }
   // The blob format is segment-agnostic: a re-serialized round trip is
-  // byte-identical, even after index builds on either side.
+  // byte-identical, even after queries on either side.
   (void)restored.QueryNearest(probe, 0, 3);
-  db_.RebuildIndexes();
+  (void)db_.QueryNearest(probe, 0, 3);
   EXPECT_EQ(restored.Serialize(), blob);
   EXPECT_EQ(db_.Serialize(), blob);
 }
 
-TEST_F(LinkageDbTest, InsertAfterQueryAnsweredFromTail) {
+TEST_F(LinkageDbTest, InsertAfterQueryIsVisibleAtOnce) {
   Fingerprint probe = {1.0F, 0.0F, 0.0F, 0.0F};
-  (void)db_.QueryNearest(probe, 0, 3);  // builds the class-0 index
-  const std::uint64_t gen = db_.IndexGeneration(0);
-  EXPECT_EQ(gen, 1U);
+  (void)db_.QueryNearest(probe, 0, 3);
   const auto id = db_.Insert({1.0F, 0.0F, 0.0F, 0.0F}, 0, "late",
                              FakeHash(0xFF));
-  EXPECT_EQ(db_.UnindexedTailSize(0), 1U);
   const auto matches = db_.QueryNearest(probe, 0, 1);
   ASSERT_EQ(matches.size(), 1U);
   EXPECT_EQ(matches[0].id, id);  // exact match must now be nearest
-  // The small tail was answered by the brute-force scan — no rebuild.
-  EXPECT_EQ(db_.IndexGeneration(0), gen);
-  EXPECT_EQ(db_.UnindexedTailSize(0), 1U);
-  // Folding the tail in changes nothing observable.
-  db_.RebuildIndexes();
-  EXPECT_EQ(db_.IndexGeneration(0), gen + 1);
-  EXPECT_EQ(db_.UnindexedTailSize(0), 0U);
-  const auto after = db_.QueryNearest(probe, 0, 1);
-  ASSERT_EQ(after.size(), 1U);
-  EXPECT_EQ(after[0].id, id);
-  EXPECT_EQ(after[0].distance, matches[0].distance);
+  EXPECT_EQ(matches[0].distance, 0.0);
 }
 
-TEST_F(LinkageDbTest, InsertLeavesOtherClassIndexesIntact) {
-  Fingerprint probe0 = {1.0F, 0.0F, 0.0F, 0.0F};
-  Fingerprint probe1 = {0.0F, 1.0F, 0.0F, 0.0F};
-  (void)db_.QueryNearest(probe0, 0, 3);
-  (void)db_.QueryNearest(probe1, 1, 3);
-  ASSERT_EQ(db_.IndexGeneration(0), 1U);
-  ASSERT_EQ(db_.IndexGeneration(1), 1U);
-
-  Rng rng(34);
-  for (int i = 0; i < 300; ++i) {  // well past the rebuild threshold
-    db_.Insert(Jitter({0.0F, 1.0F, 0.0F, 0.0F}, rng), 1, "late-B",
-               FakeHash(static_cast<std::uint8_t>(i)));
-  }
-  (void)db_.QueryNearest(probe1, 1, 3);        // folds class 1's tail
-  EXPECT_EQ(db_.IndexGeneration(1), 2U);
-  EXPECT_EQ(db_.IndexGeneration(0), 1U)        // class 0 untouched
-      << "insert into class 1 must not invalidate class 0's index";
-  EXPECT_EQ(db_.UnindexedTailSize(0), 0U);
-
-  // And class-0 queries still agree with brute force exactly.
-  for (int trial = 0; trial < 5; ++trial) {
-    Fingerprint probe(4);
-    for (float& x : probe) x = rng.Gaussian();
-    L2NormalizeInPlace(probe);
-    const auto fast = db_.QueryNearest(probe, 0, 6);
-    const auto exact = db_.QueryNearestBruteForce(probe, 0, 6);
-    ASSERT_EQ(fast.size(), exact.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ(fast[i].id, exact[i].id);
-      EXPECT_EQ(fast[i].distance, exact[i].distance);
-    }
-  }
-}
-
-TEST_F(LinkageDbTest, AutoRebuildFoldsLargeTail) {
-  db_.set_tail_limit(4);
+TEST_F(LinkageDbTest, LateInsertsMatchBruteForce) {
   Fingerprint probe = {1.0F, 0.0F, 0.0F, 0.0F};
   (void)db_.QueryNearest(probe, 0, 3);
-  const std::uint64_t gen = db_.IndexGeneration(0);
   Rng rng(35);
   for (int i = 0; i < 6; ++i) {
     db_.Insert(Jitter({1.0F, 0.0F, 0.0F, 0.0F}, rng), 0, "late",
                FakeHash(static_cast<std::uint8_t>(i)));
   }
-  EXPECT_EQ(db_.UnindexedTailSize(0), 6U);  // tail (6) > limit (4)
-  const auto fast = db_.QueryNearest(probe, 0, 8);
-  EXPECT_EQ(db_.IndexGeneration(0), gen + 1);
-  EXPECT_EQ(db_.UnindexedTailSize(0), 0U);
-  const auto exact = db_.QueryNearestBruteForce(probe, 0, 8);
-  ASSERT_EQ(fast.size(), exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(fast[i].id, exact[i].id);
-    EXPECT_EQ(fast[i].distance, exact[i].distance);
+  ExpectSameMatches(db_.QueryNearest(probe, 0, 8),
+                    db_.QueryNearestBruteForce(probe, 0, 8), "after inserts");
+}
+
+TEST_F(LinkageDbTest, InsertLeavesOtherClassResultsIntact) {
+  Rng rng(34);
+  std::vector<Fingerprint> probes;
+  for (int trial = 0; trial < 5; ++trial) {
+    Fingerprint probe(4);
+    for (float& x : probe) x = rng.Gaussian();
+    L2NormalizeInPlace(probe);
+    probes.push_back(std::move(probe));
+  }
+  std::vector<std::vector<QueryMatch>> before;
+  before.reserve(probes.size());
+  for (const Fingerprint& probe : probes) {
+    before.push_back(db_.QueryNearest(probe, 0, 6));
+  }
+  for (int i = 0; i < 300; ++i) {
+    db_.Insert(Jitter({0.0F, 1.0F, 0.0F, 0.0F}, rng), 1, "late-B",
+               FakeHash(static_cast<std::uint8_t>(i)));
+  }
+  for (std::size_t t = 0; t < probes.size(); ++t) {
+    const std::string where = "probe " + std::to_string(t);
+    ExpectSameMatches(db_.QueryNearest(probes[t], 0, 6), before[t], where);
+    ExpectSameMatches(db_.QueryNearest(probes[t], 0, 6),
+                      db_.QueryNearestBruteForce(probes[t], 0, 6), where);
+    ExpectSameMatches(db_.QueryNearest(probes[t], 1, 6),
+                      db_.QueryNearestBruteForce(probes[t], 1, 6), where);
   }
 }
 
@@ -376,19 +343,16 @@ TEST_F(LinkageDbTest, QueryUnknownClassReturnsEmpty) {
   ASSERT_EQ(batch.size(), 2U);
   EXPECT_TRUE(batch[0].empty());
   EXPECT_EQ(batch[1].size(), 5U);
-  EXPECT_EQ(db_.IndexGeneration(9), 0U);
-  EXPECT_EQ(db_.UnindexedTailSize(9), 0U);
 }
 
 TEST_F(LinkageDbTest, DuplicateFingerprintTiesAgreeWithBruteForce) {
-  // Exact duplicate fingerprints within one class: the VP-tree path
-  // must still return the same ids as brute force (the (distance, id)
-  // tie-break), at every k straddling the duplicate group.
+  // Exact duplicate fingerprints within one class: the scan must
+  // return the same ids as brute force (the (distance, id) tie-break),
+  // at every k straddling the duplicate group.
   Fingerprint dup = {0.6F, 0.8F, 0.0F, 0.0F};
   for (int i = 0; i < 6; ++i) {
     db_.Insert(dup, 0, "dup", FakeHash(static_cast<std::uint8_t>(240 + i)));
   }
-  db_.RebuildIndexes();
   Rng rng(36);
   for (int trial = 0; trial < 8; ++trial) {
     Fingerprint probe = dup;
@@ -397,14 +361,10 @@ TEST_F(LinkageDbTest, DuplicateFingerprintTiesAgreeWithBruteForce) {
       L2NormalizeInPlace(probe);
     }
     for (const std::size_t k : {1U, 3U, 6U, 9U, 40U}) {
-      const auto fast = db_.QueryNearest(probe, 0, k);
-      const auto exact = db_.QueryNearestBruteForce(probe, 0, k);
-      ASSERT_EQ(fast.size(), exact.size());
-      for (std::size_t i = 0; i < exact.size(); ++i) {
-        EXPECT_EQ(fast[i].id, exact[i].id)
-            << "rank " << i << " k " << k << " trial " << trial;
-        EXPECT_EQ(fast[i].distance, exact[i].distance);
-      }
+      ExpectSameMatches(db_.QueryNearest(probe, 0, k),
+                        db_.QueryNearestBruteForce(probe, 0, k),
+                        "trial " + std::to_string(trial) + " k " +
+                            std::to_string(k));
     }
   }
 }
@@ -475,9 +435,8 @@ TEST(LinkageDbBatchTest, InsertBatchMatchesSerialInsertsAtEveryThreadCount) {
 
 TEST(LinkageDbBatchTest, InterleavedInsertQueryMatchesSerialReference) {
   // Rounds of InsertBatch + QueryNearestBatch (the sharded parallel
-  // path, indexes folding incrementally between rounds) must be
-  // element-wise identical to a serial Insert/QueryNearest sequence,
-  // at every thread count.
+  // path) must be element-wise identical to a serial
+  // Insert/QueryNearest sequence, at every thread count.
   constexpr int kRounds = 4;
   std::vector<std::vector<LinkageRecord>> chunks;
   std::vector<std::vector<LinkageRecord>> probes;
@@ -505,7 +464,6 @@ TEST(LinkageDbBatchTest, InterleavedInsertQueryMatchesSerialReference) {
   for (const unsigned threads : {1U, 2U, 3U, 8U}) {
     util::ScopedThreads guard(threads);
     LinkageDatabase db;
-    db.set_tail_limit(16);  // force tail folds between rounds
     for (int round = 0; round < kRounds; ++round) {
       (void)db.InsertBatch(chunks[static_cast<std::size_t>(round)]);
       std::vector<Fingerprint> queries;
@@ -541,7 +499,6 @@ TEST(LinkageDbBatchTest, ConcurrentInsertAndQueryOnDisjointClasses) {
   LinkageDatabase db;
   const auto base = RandomRecords(120, 1, 6, 101);  // all class 0
   (void)db.InsertBatch(base);
-  db.RebuildIndexes();
 
   const auto probes = RandomRecords(32, 1, 6, 102);
   std::vector<Fingerprint> queries;
@@ -601,6 +558,74 @@ TEST(LinkageDbValidationTest, NegativeLabelRejected) {
   records[1].label = -7;
   EXPECT_THROW((void)db.InsertBatch(std::move(records)), Error);
   EXPECT_EQ(db.size(), 0U) << "a rejected batch must insert nothing";
+}
+
+TEST(LinkageDbValidationTest, DimensionMismatchWithinClassRejected) {
+  LinkageDatabase db;
+  crypto::Sha256Digest h{};
+  (void)db.Insert({1.0F, 0.0F, 0.0F}, 0, "a", h);
+  EXPECT_THROW((void)db.Insert({1.0F, 0.0F}, 0, "b", h), Error);
+
+  // A batch that mismatches an existing class, or mixes dimensions in
+  // a new class, is rejected whole.
+  std::vector<LinkageRecord> against_existing(2);
+  against_existing[0].fingerprint = {0.0F, 1.0F};
+  against_existing[0].label = 1;
+  against_existing[1].fingerprint = {0.0F, 1.0F, 0.0F, 0.0F};
+  against_existing[1].label = 0;
+  EXPECT_THROW((void)db.InsertBatch(std::move(against_existing)), Error);
+  std::vector<LinkageRecord> mixed_new(2);
+  mixed_new[0].fingerprint = {0.0F, 1.0F};
+  mixed_new[0].label = 5;
+  mixed_new[1].fingerprint = {0.0F, 1.0F, 0.0F};
+  mixed_new[1].label = 5;
+  EXPECT_THROW((void)db.InsertBatch(std::move(mixed_new)), Error);
+  EXPECT_EQ(db.size(), 1U) << "a rejected insert must insert nothing";
+  EXPECT_TRUE(db.IdsForLabel(1).empty());
+  EXPECT_TRUE(db.IdsForLabel(5).empty());
+
+  // Nothing was reserved, so later inserts into the same classes land
+  // (instead of waiting on a hole) and queries still answer.
+  const auto id = db.Insert({0.0F, 0.0F, 1.0F}, 0, "c", h);
+  std::vector<LinkageRecord> ok(2);
+  ok[0].fingerprint = {0.0F, 1.0F, 0.0F, 0.0F};
+  ok[0].label = 5;
+  ok[1].fingerprint = {0.0F, 0.0F, 1.0F};
+  ok[1].label = 0;
+  const auto ids = db.InsertBatch(std::move(ok));
+  EXPECT_EQ(db.size(), 4U);
+  const auto matches = db.QueryNearest({0.0F, 0.0F, 1.0F}, 0, 3);
+  ASSERT_EQ(matches.size(), 3U);
+  EXPECT_EQ(matches[0].id, id);
+  EXPECT_EQ(matches[1].id, ids[1]);
+  EXPECT_EQ(db.QueryNearest({0.0F, 1.0F, 0.0F, 0.0F}, 5, 1).at(0).id, ids[0]);
+}
+
+TEST(LinkageDbValidationTest, MixedDimensionBlobRejected) {
+  ByteWriter writer;
+  writer.WriteU64(2);
+  for (const std::vector<float>& fp : {std::vector<float>{1.0F, 0.0F},
+                                       std::vector<float>{1.0F, 0.0F, 0.0F}}) {
+    writer.WriteF32Vector(fp);
+    writer.WriteU32(3);  // same class
+    writer.WriteString("x");
+    writer.WriteBytes(Bytes(crypto::kSha256DigestSize, 0));
+  }
+  const Bytes blob = writer.Take();
+  EXPECT_THROW((void)LinkageDatabase::Deserialize(blob), Error);
+}
+
+TEST(LinkageDbValidationTest, HostileTupleCountRejected) {
+  // A blob holding only a huge tuple count must fail as a malformed
+  // blob, not by trying to pre-size for the count.
+  for (const std::uint64_t count : {std::uint64_t{1} << 40,
+                                    std::uint64_t{1} << 62}) {
+    ByteWriter writer;
+    writer.WriteU64(count);
+    const Bytes blob = writer.Take();
+    EXPECT_THROW((void)LinkageDatabase::Deserialize(blob), Error)
+        << "count " << count;
+  }
 }
 
 TEST(LinkageDbValidationTest, LargeLabelSerializationRoundTrip) {

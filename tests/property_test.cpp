@@ -1,6 +1,6 @@
 // Property-style parameterized sweeps (TEST_P) across the substrates:
 // crypto round-trip/tamper laws, group algebra, kernel adjointness and
-// gradient checks across layer geometries, k-NN index agreement, EPC
+// gradient checks across layer geometries, exact linkage k-NN, EPC
 // residency invariants, and record-layer framing over payload sizes.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "crypto/gcm.hpp"
 #include "crypto/group.hpp"
 #include "enclave/epc.hpp"
-#include "linkage/vptree.hpp"
 #include "linkage/linkage_db.hpp"
 #include "nn/augment.hpp"
 #include "nn/conv.hpp"
@@ -250,37 +249,74 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{64, 8, 128}));
 
 // ---------------------------------------------------------------------------
-// VP-tree agrees with brute force across dimensions and k.
+// The linkage panel scan equals brute force exactly (id, distance bits,
+// source) across segment sizes straddling panel (8-row) and block
+// (1024-row) edges, dimensions, and k — serial and batched.
 // ---------------------------------------------------------------------------
-class VpTreeProperty
+class LinkageScanProperty
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t,
                                                  std::size_t>> {};
 
-TEST_P(VpTreeProperty, AgreesWithBruteForce) {
+TEST_P(LinkageScanProperty, EqualsBruteForce) {
   const auto [count, dim, k] = GetParam();
   Rng rng(count * 31 + dim * 7 + k);
-  std::vector<std::vector<float>> points(count, std::vector<float>(dim));
-  for (auto& p : points) {
-    for (float& x : p) x = rng.Gaussian();
+  // Class 0 holds `count` rows interleaved with class-1 rows, so
+  // segment positions differ from ids; every seventh row repeats an
+  // earlier one, so ties straddle panel and block edges.
+  std::vector<linkage::LinkageRecord> records;
+  std::vector<linkage::Fingerprint> class0;
+  for (std::size_t i = 0; i < count; ++i) {
+    linkage::LinkageRecord r;
+    if (i % 7 == 6) {
+      r.fingerprint = class0[rng.UniformU64(class0.size())];
+    } else {
+      r.fingerprint.resize(dim);
+      for (float& x : r.fingerprint) x = rng.Gaussian();
+    }
+    class0.push_back(r.fingerprint);
+    r.source = "src" + std::to_string(i % 5);
+    records.push_back(r);
+    if (i % 3 == 0) {
+      r.label = 1;
+      records.push_back(std::move(r));
+    }
   }
-  const linkage::VpTree tree(points);
-  for (int trial = 0; trial < 5; ++trial) {
-    std::vector<float> query(dim);
-    for (float& x : query) x = rng.Gaussian();
-    const auto exact = linkage::BruteForceKnn(points, query, k);
-    const auto fast = tree.Search(query, k);
-    ASSERT_EQ(fast.size(), exact.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_NEAR(fast[i].distance, exact[i].distance, 1e-9);
+  linkage::LinkageDatabase db;
+  (void)db.InsertBatch(std::move(records));
+
+  std::vector<linkage::Fingerprint> probes;
+  for (int trial = 0; trial < 4; ++trial) {
+    linkage::Fingerprint probe(dim);
+    for (float& x : probe) x = rng.Gaussian();
+    probes.push_back(std::move(probe));
+  }
+  if (count > 0) probes.push_back(class0[count / 2]);  // a zero-distance tie
+  const std::vector<int> labels(probes.size(), 0);
+  const auto batch = db.QueryNearestBatch(probes, labels, k);
+  ASSERT_EQ(batch.size(), probes.size());
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    const auto exact = db.QueryNearestBruteForce(probes[p], 0, k);
+    ASSERT_EQ(exact.size(), std::min(k, count));
+    const auto fast = db.QueryNearest(probes[p], 0, k);
+    for (const auto* got : {&fast, &batch[p]}) {
+      ASSERT_EQ(got->size(), exact.size()) << "probe " << p;
+      for (std::size_t i = 0; i < exact.size(); ++i) {
+        EXPECT_EQ((*got)[i].id, exact[i].id) << "probe " << p << " rank " << i;
+        EXPECT_EQ((*got)[i].distance, exact[i].distance)
+            << "probe " << p << " rank " << i;
+        EXPECT_EQ((*got)[i].source, exact[i].source)
+            << "probe " << p << " rank " << i;
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweeps, VpTreeProperty,
-    ::testing::Combine(::testing::Values(10, 100, 500),
-                       ::testing::Values(2, 16, 64),
-                       ::testing::Values(1, 5, 20)));
+    Sweeps, LinkageScanProperty,
+    ::testing::Combine(::testing::Values(0, 1, 7, 8, 9, 1023, 1024, 1025),
+                       ::testing::Values(1, 3, 10, 64),
+                       // 2000 exceeds every segment size above.
+                       ::testing::Values(1, 9, 2000)));
 
 // ---------------------------------------------------------------------------
 // EPC residency invariants over capacities and region mixes.
@@ -459,7 +495,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Linkage DB invariants across query sizes: sorted, class-pure, and the
-// VP-tree path agrees with brute force.
+// scan agrees with brute force.
 // ---------------------------------------------------------------------------
 class LinkageQueryProperty : public ::testing::TestWithParam<std::size_t> {};
 
