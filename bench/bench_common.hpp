@@ -20,8 +20,11 @@
 //                transitions-per-record rows — BENCH_serve.json).
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -112,6 +115,27 @@ inline std::string ExtractFlagValue(int& argc, char** argv,
 /// Writes `rows` to `path` as a JSON array (the BENCH_micro.json
 /// perf-trajectory format).  Returns false if the file cannot be
 /// opened.
+/// Host provenance for a bench JSON's informational "host" row: online
+/// cores, CPU model and build type (set per bench target by CMake).
+inline std::string HostSummary() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+#ifdef CALTRAIN_BENCH_BUILD_TYPE
+  const char* build = CALTRAIN_BENCH_BUILD_TYPE;
+#else
+  const char* build = "unknown";
+#endif
+  return "nproc=" + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+         " build=" + build + " cpu=" + cpu;
+}
+
 inline bool WriteBenchJson(const std::string& path,
                            const std::vector<JsonBenchRow>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");

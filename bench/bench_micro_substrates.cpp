@@ -22,8 +22,10 @@
 #include "enclave/enclave.hpp"
 #include "linkage/fingerprint.hpp"
 #include "linkage/linkage_db.hpp"
+#include "nn/conv.hpp"
 #include "nn/kernels.hpp"
 #include "nn/network.hpp"
+#include "nn/pool.hpp"
 #include "nn/presets.hpp"
 #include "securechannel/handshake.hpp"
 #include "securechannel/record.hpp"
@@ -365,7 +367,73 @@ CALTRAIN_CONV_GEMM_BENCH(L2_conv128_3x3, 128, 784, 1152);
 CALTRAIN_CONV_GEMM_BENCH(L4_conv64_3x3, 64, 196, 1152);
 CALTRAIN_CONV_GEMM_BENCH(L6_conv128_3x3, 128, 49, 576);
 CALTRAIN_CONV_GEMM_BENCH(L7_conv10_1x1, 10, 49, 128);
+// The same layers at Table1Spec(16), the width the investigate and
+// train journeys run (pairs with the BM_ConvForward rows below):
+CALTRAIN_CONV_GEMM_BENCH(s16_L1_conv8_3x3, 8, 784, 27);
+CALTRAIN_CONV_GEMM_BENCH(s16_L2_conv8_3x3, 8, 784, 72);
+CALTRAIN_CONV_GEMM_BENCH(s16_L4_conv4_3x3, 4, 196, 72);
+CALTRAIN_CONV_GEMM_BENCH(s16_L6_conv8_3x3, 8, 49, 36);
+CALTRAIN_CONV_GEMM_BENCH(s16_L7_conv10_1x1, 10, 49, 8);
 #undef CALTRAIN_CONV_GEMM_BENCH
+
+// One whole ConvLayer::Forward (im2col + GEMM + epilogue) at batch 1,
+// single thread, Fast profile: the per-layer cost of a single-probe
+// forward.  BM_ConvGemm feeds a pre-lowered buffer, so the gap between
+// the two rows of a layer is what the lowering costs
+// (tools/check_bench_scaling.py gates it on the 28x28 layers).
+void BM_ConvForward(benchmark::State& state, nn::Shape in_shape, int filters,
+                    int ksize, nn::Activation activation) {
+  util::ScopedThreads guard(1);
+  Rng rng(4);
+  nn::ConvLayer conv(in_shape, filters, ksize, 1, activation);
+  conv.InitWeights(rng);
+  nn::Batch in(1, in_shape);
+  for (float& x : in.data) x = rng.Gaussian();
+  nn::Batch out(1, conv.out_shape());
+  nn::LayerScratch scratch;
+  nn::LayerContext ctx;
+  ctx.scratch = &scratch;
+  for (auto _ : state) {
+    conv.Forward(in, out, ctx);
+    benchmark::DoNotOptimize(out.data.data());
+    benchmark::ClobberMemory();
+  }
+  const nn::Shape o = conv.out_shape();
+  state.counters["m"] = filters;
+  state.counters["n"] = static_cast<double>(o.w) * o.h;
+  state.counters["k"] = static_cast<double>(in_shape.c) * ksize * ksize;
+  state.counters["threads"] = 1;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_ConvForward, s16_L1_conv8_3x3_b1, nn::Shape{28, 28, 3},
+                  8, 3, nn::Activation::kLeakyRelu);
+BENCHMARK_CAPTURE(BM_ConvForward, s16_L2_conv8_3x3_b1, nn::Shape{28, 28, 8},
+                  8, 3, nn::Activation::kLeakyRelu);
+BENCHMARK_CAPTURE(BM_ConvForward, s16_L4_conv4_3x3_b1, nn::Shape{14, 14, 8},
+                  4, 3, nn::Activation::kLeakyRelu);
+BENCHMARK_CAPTURE(BM_ConvForward, s16_L6_conv8_3x3_b1, nn::Shape{7, 7, 4},
+                  8, 3, nn::Activation::kLeakyRelu);
+BENCHMARK_CAPTURE(BM_ConvForward, s16_L7_conv10_1x1_b1, nn::Shape{7, 7, 8},
+                  10, 1, nn::Activation::kLinear);
+
+// The 2x2/2 max-pool after Table1Spec(16)'s second conv, batch 1.
+void BM_MaxPoolForward(benchmark::State& state) {
+  Rng rng(6);
+  const nn::MaxPoolLayer pool(nn::Shape{28, 28, 8}, 2, 2);
+  nn::Batch in(1, pool.in_shape());
+  for (float& x : in.data) x = rng.Gaussian();
+  nn::Batch out(1, pool.out_shape());
+  nn::LayerScratch scratch;
+  nn::LayerContext ctx;
+  ctx.scratch = &scratch;
+  for (auto _ : state) {
+    pool.Forward(in, out, ctx);
+    benchmark::DoNotOptimize(out.data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MaxPoolForward)->Name("BM_MaxPoolForward/28x28x8");
 
 // Serial-vs-parallel comparison for the row-blocked parallel GEMM
 // runtime (util::ParallelFor over contiguous row blocks).  threads=1 is
@@ -623,14 +691,19 @@ int main(int argc, char** argv) {
   ::benchmark::RunSpecifiedBenchmarks(&reporter);
   ::benchmark::Shutdown();
   if (!json_path.empty()) {
-    // Lead with an informational row recording which ISA tiers the
-    // "auto" crypto rows actually ran on (the scaling gate reads it to
-    // decide whether the >= 2x accelerated/scalar check is meaningful).
+    // Lead with informational rows: which ISA tiers the "auto" crypto
+    // rows actually ran on (the scaling gate reads it to decide whether
+    // the >= 2x accelerated/scalar check is meaningful) and the host
+    // the rows were measured on.
     std::vector<caltrain::bench::JsonBenchRow> rows;
     caltrain::bench::JsonBenchRow isa_row;
     isa_row.op = "crypto_isa";
     isa_row.shape = caltrain::crypto::ActiveIsaSummary();
     rows.push_back(std::move(isa_row));
+    caltrain::bench::JsonBenchRow host_row;
+    host_row.op = "host";
+    host_row.shape = caltrain::bench::HostSummary();
+    rows.push_back(std::move(host_row));
     rows.insert(rows.end(), reporter.rows().begin(), reporter.rows().end());
     if (!caltrain::bench::WriteBenchJson(json_path, rows)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());

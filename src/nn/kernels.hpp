@@ -18,6 +18,11 @@
 // the thread count, and parallel dispatch only ever splits disjoint
 // output tiles, so Fast results stay bit-identical at any thread count
 // (the PR 2 determinism contract).
+//
+// Conv lowering (kernels_common.cpp) is pure data movement: contiguous
+// copies and += runs, bit-identical to the per-element formula.
+// Lowerings under 2^18 floats and GEMMs under 2^21 MACs never enter the
+// thread pool, so a single-probe forward runs inline.
 #pragma once
 
 #include <cstddef>
@@ -179,31 +184,23 @@ inline void ConvGemmBackward(KernelProfile p, std::size_t m, std::size_t n,
                                 weight_grads, col_delta);
 }
 
-/// im2col for 3x3/1x1 convolutions with `stride` and symmetric `pad`.
-/// in: [c][h][w]; col: [c*ksize*ksize][out_h*out_w].
-void Im2Col(const float* in, int channels, int height, int width, int ksize,
-            int stride, int pad, float* col) noexcept;
-
-/// Scatter-add inverse of Im2Col (for input gradients).
-void Col2Im(const float* col, int channels, int height, int width, int ksize,
-            int stride, int pad, float* in) noexcept;
-
-/// Batched im2col into a wide column buffer: samples [0, batch) of `in`
-/// (consecutive planes of `sample_stride` floats) land side by side in
-/// col_wide [c*ksize*ksize x batch*out_h*out_w], sample s at column
-/// offset s*out_h*out_w.  Row ranges are dispatched through the thread
-/// pool — across samples and, within one sample, across column rows —
-/// with every row written by exactly one thread (pure copies, so the
-/// result is identical at any thread count).
+/// Batched im2col (ksize x ksize, `stride`, symmetric zero `pad`):
+/// samples [0, batch) of `in` ([c][h][w] planes `sample_stride` floats
+/// apart) land side by side in col_wide [c*ksize*ksize x
+/// batch*out_h*out_w], sample s at column offset s*out_h*out_w.  Large
+/// lowerings dispatch rows through the thread pool — across samples
+/// and column rows — with every row written by exactly one thread
+/// (pure copies, so the result is identical at any thread count).
 void Im2ColBatch(const float* in, std::size_t sample_stride, int batch,
                  int channels, int height, int width, int ksize, int stride,
                  int pad, float* col_wide);
 
 /// Batched inverse: scatter-adds sample s's columns (offset
 /// s*out_h*out_w, leading dimension batch*out_h*out_w) of col_wide into
-/// the s-th output plane.  Parallelized over (sample, channel) pairs —
-/// each pair's scatter region is disjoint, and the within-pair order
-/// matches the serial loop, so results are thread-count independent.
+/// the s-th output plane.  Large blocks run (sample, channel) pairs in
+/// parallel — each pair's scatter region is disjoint, and the
+/// within-pair order matches the serial loop, so results are
+/// thread-count independent.
 void Col2ImBatch(const float* col_wide, int batch, int channels, int height,
                  int width, int ksize, int stride, int pad, float* in,
                  std::size_t sample_stride);

@@ -1,21 +1,45 @@
-// Profile-independent kernels: im2col / col2im, single-sample and
-// batched-wide variants.
+// Profile-independent kernels: batched-wide im2col / col2im.
 //
-// The batched variants lower a block of samples side by side into one
-// wide column buffer (see kernels.hpp) and dispatch row ranges through
-// the thread pool.  Every parallel unit writes a disjoint region with
-// the same inner order as the serial loop, so results are identical at
-// any thread count; inside an existing parallel region (the
-// data-parallel training shards) everything runs inline.
+// Both lower a block of samples side by side into one wide column
+// buffer (see kernels.hpp).  For a same-size stride-1 conv (every conv
+// in the presets) an im2col row is the input plane shifted by the
+// kernel offset: one contiguous copy plus zeroed borders.  Otherwise
+// each output row is a zero fill plus one (strided) gather of its valid
+// columns, and col2im is one += run per row; the valid row and column
+// ranges are computed once per kernel offset.  Large lowerings
+// dispatch rows through the thread pool.  Every parallel unit writes a
+// disjoint region with the same inner order as the serial loop, so
+// results are identical at any thread count; inside an existing
+// parallel region (the data-parallel training shards) everything runs
+// inline.
 #include "nn/kernels.hpp"
+
+#include <algorithm>
 
 #include "util/threadpool.hpp"
 
 namespace caltrain::nn {
 
 namespace {
-constexpr bool InBounds(int v, int limit) noexcept {
-  return v >= 0 && v < limit;
+/// Lowerings moving fewer floats than this run inline: below it the
+/// pool hand-off costs more than the copy (shape-only, so results stay
+/// thread-count independent either way).
+constexpr std::size_t kParallelMinFloats = std::size_t{1} << 18;
+
+/// The outputs [lo, hi) whose input index o*stride - pad + koff lies in
+/// [0, extent): possibly empty, always within [0, out).  (Truncating
+/// division only misrounds negative bounds, which clamp to 0 anyway.)
+struct Run {
+  int lo, hi;
+};
+inline Run ValidRun(int extent, int koff, int stride, int pad,
+                    int out) noexcept {
+  // Stride 1 (every preset) skips the integer divisions.
+  const auto ceil_div = [stride](int n) {
+    return stride == 1 ? n : (n + stride - 1) / stride;
+  };
+  const int lo = std::clamp(ceil_div(pad - koff), 0, out);
+  return {lo, std::clamp(ceil_div(extent + pad - koff), lo, out)};
 }
 
 /// Writes one im2col row (channel plane `in_c`, kernel offset ky/kx)
@@ -23,44 +47,60 @@ constexpr bool InBounds(int v, int limit) noexcept {
 inline void Im2ColRow(const float* in_c, int height, int width, int ky,
                       int kx, int stride, int pad, int out_h, int out_w,
                       float* col_row) noexcept {
-  std::size_t idx = 0;
-  for (int oy = 0; oy < out_h; ++oy) {
-    const int iy = oy * stride - pad + ky;
-    if (!InBounds(iy, height)) {
-      for (int ox = 0; ox < out_w; ++ox) col_row[idx++] = 0.0F;
-      continue;
-    }
-    const float* in_row = in_c + static_cast<std::size_t>(iy) * width;
-    for (int ox = 0; ox < out_w; ++ox) {
-      const int ix = ox * stride - pad + kx;
-      col_row[idx++] = InBounds(ix, width) ? in_row[ix] : 0.0F;
+  const Run rows = ValidRun(height, ky, stride, pad, out_h);
+  const Run cols = ValidRun(width, kx, stride, pad, out_w);
+  if (stride == 1 && out_w == width && rows.lo < rows.hi &&
+      cols.lo < cols.hi) {
+    // Same-size plane: the row is the input plane shifted by
+    // (ky - pad, kx - pad).  One copy spans the in-range rows from their
+    // first valid element to their last; then the rows outside the
+    // plane and the wrapped columns (strided stores) are zeroed.
+    const int first = rows.lo * out_w + cols.lo;
+    const int last = (rows.hi - 1) * out_w + cols.hi;
+    const int shift = (ky - pad) * width + kx - pad;
+    std::copy(in_c + (first + shift), in_c + (last + shift), col_row + first);
+    std::fill(col_row, col_row + rows.lo * out_w, 0.0F);
+    std::fill(col_row + rows.hi * out_w, col_row + out_h * out_w, 0.0F);
+    const auto zero_column = [&](int ox) {
+      for (int oy = rows.lo; oy < rows.hi; ++oy) {
+        col_row[oy * out_w + ox] = 0.0F;
+      }
+    };
+    for (int ox = 0; ox < cols.lo; ++ox) zero_column(ox);
+    for (int ox = cols.hi; ox < out_w; ++ox) zero_column(ox);
+    return;
+  }
+  std::fill_n(col_row, out_h * out_w, 0.0F);
+  for (int oy = rows.lo; oy < rows.hi; ++oy) {
+    const float* in_row =
+        in_c + static_cast<std::size_t>(oy * stride - pad + ky) * width;
+    float* out_row = col_row + static_cast<std::size_t>(oy) * out_w;
+    for (int ox = cols.lo; ox < cols.hi; ++ox) {
+      out_row[ox] = in_row[ox * stride - pad + kx];
     }
   }
 }
 
 /// Scatter-adds one channel's ksize*ksize column rows back into the
-/// channel plane `in_c`.  Rows of the column block are `ld` floats
+/// channel plane `in_c`: one += run per in-range output row, each
+/// input element receiving its adds in (kernel offset, output row,
+/// output column) order.  Rows of the column block are `ld` floats
 /// apart.
 inline void Col2ImChannel(const float* col_c, std::size_t ld, int height,
                           int width, int ksize, int stride, int pad,
                           int out_h, int out_w, float* in_c) noexcept {
-  const int channel_cols = ksize * ksize;
-  for (int kidx = 0; kidx < channel_cols; ++kidx) {
+  for (int kidx = 0; kidx < ksize * ksize; ++kidx) {
     const int ky = kidx / ksize;
     const int kx = kidx % ksize;
-    const float* col_row = col_c + static_cast<std::size_t>(kidx) * ld;
-    std::size_t idx = 0;
-    for (int oy = 0; oy < out_h; ++oy) {
-      const int iy = oy * stride - pad + ky;
-      if (!InBounds(iy, height)) {
-        idx += static_cast<std::size_t>(out_w);
-        continue;
-      }
-      float* in_row = in_c + static_cast<std::size_t>(iy) * width;
-      for (int ox = 0; ox < out_w; ++ox) {
-        const int ix = ox * stride - pad + kx;
-        if (InBounds(ix, width)) in_row[ix] += col_row[idx];
-        ++idx;
+    const Run rows = ValidRun(height, ky, stride, pad, out_h);
+    const Run cols = ValidRun(width, kx, stride, pad, out_w);
+    for (int oy = rows.lo; oy < rows.hi; ++oy) {
+      float* in_row =
+          in_c + static_cast<std::size_t>(oy * stride - pad + ky) * width;
+      const float* col_row = col_c + static_cast<std::size_t>(kidx) * ld +
+                             static_cast<std::size_t>(oy) * out_w;
+      for (int ox = cols.lo; ox < cols.hi; ++ox) {
+        in_row[ox * stride - pad + kx] += col_row[ox];
       }
     }
   }
@@ -68,48 +108,19 @@ inline void Col2ImChannel(const float* col_c, std::size_t ld, int height,
 
 // The guard deliberately short-circuits *before* the std::function
 // type erasure inside ParallelFor (same pattern as the GEMM bodies'
-// ForEachRowBlock): the nested/serial case is the per-shard training
-// hot path and must cost exactly the plain loop.
+// ForEachRowBlock): the nested/serial/small case is the per-shard
+// training and single-probe hot path and must cost exactly the plain
+// loop.
 template <typename Fn>
-inline void ForEachUnit(std::size_t count, Fn&& fn) {
-  if (count < 2 || util::Parallelism::threads() <= 1 ||
-      util::InParallelRegion()) {
+inline void ForEachUnit(std::size_t count, std::size_t floats, Fn&& fn) {
+  if (count < 2 || floats < kParallelMinFloats ||
+      util::Parallelism::threads() <= 1 || util::InParallelRegion()) {
     for (std::size_t u = 0; u < count; ++u) fn(u);
     return;
   }
   util::ParallelFor(0, count, std::forward<Fn>(fn));
 }
 }  // namespace
-
-void Im2Col(const float* in, int channels, int height, int width, int ksize,
-            int stride, int pad, float* col) noexcept {
-  const int out_h = (height + 2 * pad - ksize) / stride + 1;
-  const int out_w = (width + 2 * pad - ksize) / stride + 1;
-  const std::size_t out_hw = static_cast<std::size_t>(out_h) * out_w;
-  const int channel_cols = ksize * ksize;
-  std::size_t row = 0;
-  for (int c = 0; c < channels; ++c) {
-    const float* in_c = in + static_cast<std::size_t>(c) * height * width;
-    for (int kidx = 0; kidx < channel_cols; ++kidx) {
-      Im2ColRow(in_c, height, width, kidx / ksize, kidx % ksize, stride, pad,
-                out_h, out_w, col + row * out_hw);
-      ++row;
-    }
-  }
-}
-
-void Col2Im(const float* col, int channels, int height, int width, int ksize,
-            int stride, int pad, float* in) noexcept {
-  const int out_h = (height + 2 * pad - ksize) / stride + 1;
-  const int out_w = (width + 2 * pad - ksize) / stride + 1;
-  const std::size_t out_hw = static_cast<std::size_t>(out_h) * out_w;
-  const std::size_t channel_cols = static_cast<std::size_t>(ksize) * ksize;
-  for (int c = 0; c < channels; ++c) {
-    Col2ImChannel(col + static_cast<std::size_t>(c) * channel_cols * out_hw,
-                  out_hw, height, width, ksize, stride, pad, out_h, out_w,
-                  in + static_cast<std::size_t>(c) * height * width);
-  }
-}
 
 void Im2ColBatch(const float* in, std::size_t sample_stride, int batch,
                  int channels, int height, int width, int ksize, int stride,
@@ -123,7 +134,8 @@ void Im2ColBatch(const float* in, std::size_t sample_stride, int batch,
   const int channel_cols = ksize * ksize;
   // One unit per (sample, column-row): disjoint destination rows, so
   // the parallel sweep is a pure deterministic copy.
-  ForEachUnit(static_cast<std::size_t>(batch) * rows, [=](std::size_t u) {
+  const std::size_t units = static_cast<std::size_t>(batch) * rows;
+  ForEachUnit(units, units * out_hw, [=](std::size_t u) {
     const std::size_t s = u / rows;
     const std::size_t row = u % rows;
     const int c = static_cast<int>(row) / channel_cols;
@@ -145,7 +157,8 @@ void Col2ImBatch(const float* col_wide, int batch, int channels, int height,
   const std::size_t channel_cols = static_cast<std::size_t>(ksize) * ksize;
   // One unit per (sample, channel): each scatter region is disjoint
   // and keeps the serial within-channel accumulation order.
-  ForEachUnit(static_cast<std::size_t>(batch) * channels, [=](std::size_t u) {
+  const std::size_t units = static_cast<std::size_t>(batch) * channels;
+  ForEachUnit(units, units * channel_cols * out_hw, [=](std::size_t u) {
     const std::size_t s = u / static_cast<std::size_t>(channels);
     const int c = static_cast<int>(u % static_cast<std::size_t>(channels));
     Col2ImChannel(col_wide + s * out_hw +

@@ -24,8 +24,15 @@ void MaxPoolLayer::Forward(const Batch& in, Batch& out,
                  "maxpool forward needs workspace scratch");
   const std::size_t out_plane =
       static_cast<std::size_t>(out_shape_.w) * out_shape_.h;
+  // Every slot is written below; Backward reads it after any Forward,
+  // eval-mode ones included (gradient inversion).
   std::vector<std::int32_t>& argmax = ctx.scratch->argmax;
-  argmax.assign(static_cast<std::size_t>(in.n) * out_shape_.Flat(), 0);
+  argmax.resize(static_cast<std::size_t>(in.n) * out_shape_.Flat());
+  // 2x2/2 over even planes: every window is whole, so each output is
+  // the generic loop's four `>` tests unrolled in the same order (same
+  // winner on ties, NaN and -inf; an all-NaN window keeps index 0).
+  const bool two_by_two = ksize_ == 2 && stride_ == 2 &&
+                          in_shape_.w % 2 == 0 && in_shape_.h % 2 == 0;
 
   for (int s = 0; s < in.n; ++s) {
     const float* src = in.Sample(s);
@@ -36,6 +43,26 @@ void MaxPoolLayer::Forward(const Batch& in, Batch& out,
       const float* plane =
           src + static_cast<std::size_t>(c) * in_shape_.h * in_shape_.w;
       for (int oy = 0; oy < out_shape_.h; ++oy) {
+        const std::size_t out_row =
+            static_cast<std::size_t>(c) * out_plane + oy * out_shape_.w;
+        if (two_by_two) {
+          const std::int32_t top = 2 * oy * in_shape_.w;
+          for (int ox = 0; ox < out_shape_.w; ++ox) {
+            float best = -std::numeric_limits<float>::infinity();
+            std::int32_t best_idx = 0;
+            for (const std::int32_t idx :
+                 {top + 2 * ox, top + 2 * ox + 1, top + in_shape_.w + 2 * ox,
+                  top + in_shape_.w + 2 * ox + 1}) {
+              if (plane[idx] > best) {
+                best = plane[idx];
+                best_idx = idx;
+              }
+            }
+            dst[out_row + ox] = best;
+            winners[out_row + ox] = best_idx;
+          }
+          continue;
+        }
         for (int ox = 0; ox < out_shape_.w; ++ox) {
           float best = -std::numeric_limits<float>::infinity();
           std::int32_t best_idx = 0;
@@ -52,10 +79,8 @@ void MaxPoolLayer::Forward(const Batch& in, Batch& out,
               }
             }
           }
-          const std::size_t out_idx =
-              static_cast<std::size_t>(c) * out_plane + oy * out_shape_.w + ox;
-          dst[out_idx] = best;
-          winners[out_idx] = best_idx;
+          dst[out_row + ox] = best;
+          winners[out_row + ox] = best_idx;
         }
       }
     }

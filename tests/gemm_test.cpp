@@ -312,8 +312,9 @@ TEST(GemmDeterminismTest, BatchedIm2ColMatchesPerSample) {
     Im2ColBatch(in.data(), sample, batch, channels, height, width, ksize,
                 stride, pad, wide.data());
     for (int s = 0; s < batch; ++s) {
-      Im2Col(in.data() + static_cast<std::size_t>(s) * sample, channels,
-             height, width, ksize, stride, pad, per_sample.data());
+      Im2ColBatch(in.data() + static_cast<std::size_t>(s) * sample, sample,
+                  1, channels, height, width, ksize, stride, pad,
+                  per_sample.data());
       for (std::size_t r = 0; r < rows; ++r) {
         ASSERT_EQ(0,
                   std::memcmp(per_sample.data() + r * out_hw,
@@ -340,7 +341,7 @@ TEST(GemmDeterminismTest, BatchedCol2ImMatchesPerSample) {
   FillGaussian(wide, rng);
 
   // Per-sample reference: copy each sample's columns out of the wide
-  // buffer and run the serial Col2Im.
+  // buffer and scatter it as a batch of one.
   std::vector<float> expected(sample * batch, 0.0F);
   std::vector<float> col(rows * out_hw);
   for (int s = 0; s < batch; ++s) {
@@ -350,8 +351,9 @@ TEST(GemmDeterminismTest, BatchedCol2ImMatchesPerSample) {
                       static_cast<std::size_t>(s) * out_hw,
                   out_hw * sizeof(float));
     }
-    Col2Im(col.data(), channels, height, width, ksize, stride, pad,
-           expected.data() + static_cast<std::size_t>(s) * sample);
+    Col2ImBatch(col.data(), 1, channels, height, width, ksize, stride, pad,
+                expected.data() + static_cast<std::size_t>(s) * sample,
+                sample);
   }
 
   std::vector<float> got(sample * batch);

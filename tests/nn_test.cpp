@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <numeric>
 #include <tuple>
 
@@ -103,12 +105,15 @@ TEST(KernelsTest, ParallelGemmFastIsBitIdenticalToSerial) {
   // row-blocked partition must leave results bit-identical to the
   // serial (threads=1) kernel for every thread count.  Shapes are
   // deliberately odd — m, n, k not divisible by the row grain or any
-  // thread count — so blocks are uneven.
+  // thread count — so blocks are uneven.  Only GEMMs of at least 2^21
+  // multiply-adds enter the pool; {1031, 7, 301} is one that takes the
+  // naive row-blocked path (n < NR) above that gate.
   struct Shape3 {
     std::size_t m, n, k;
   };
   const Shape3 shapes[] = {{37, 29, 17}, {1, 5, 3},    {33, 1, 7},
-                           {8, 64, 64},  {63, 31, 15}, {5, 3, 1}};
+                           {8, 64, 64},  {63, 31, 15}, {5, 3, 1},
+                           {1031, 7, 301}};
   for (const Shape3& s : shapes) {
     Rng rng(1000 + s.m);
     std::vector<float> a(s.m * s.k), b_plain(s.k * s.n), b_trans(s.n * s.k),
@@ -152,7 +157,7 @@ TEST(KernelsTest, Im2ColIdentityFor1x1) {
   // 1x1 kernel with no padding: col == input.
   const std::vector<float> in = {1, 2, 3, 4, 5, 6, 7, 8};
   std::vector<float> col(8, 0.0F);
-  Im2Col(in.data(), 2, 2, 2, 1, 1, 0, col.data());
+  Im2ColBatch(in.data(), in.size(), 1, 2, 2, 2, 1, 1, 0, col.data());
   EXPECT_EQ(col, in);
 }
 
@@ -170,16 +175,166 @@ TEST(KernelsTest, Col2ImIsAdjointOfIm2Col) {
   for (float& v : y) v = rng.Gaussian();
 
   std::vector<float> col(col_size, 0.0F);
-  Im2Col(x.data(), c, h, w, k, stride, pad, col.data());
+  Im2ColBatch(x.data(), in_size, 1, c, h, w, k, stride, pad, col.data());
   double lhs = 0.0;
   for (std::size_t i = 0; i < col_size; ++i) lhs += col[i] * y[i];
 
   std::vector<float> back(in_size, 0.0F);
-  Col2Im(y.data(), c, h, w, k, stride, pad, back.data());
+  Col2ImBatch(y.data(), 1, c, h, w, k, stride, pad, back.data(), in_size);
   double rhs = 0.0;
   for (std::size_t i = 0; i < in_size; ++i) rhs += x[i] * back[i];
 
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// Lowering geometries for the exact reference tests: stride 1/2, ksize
+// 1/3/5, pad 0/1/2, widths 1-7 (width < ksize leaves some kernel
+// offsets an empty copy run), non-square planes, batch 1 and 3, plus
+// one block large enough for the pool-dispatched path.
+struct LoweringCase {
+  int batch, channels, height, width, ksize, stride, pad;
+  [[nodiscard]] int out_h() const {
+    return (height + 2 * pad - ksize) / stride + 1;
+  }
+  [[nodiscard]] int out_w() const {
+    return (width + 2 * pad - ksize) / stride + 1;
+  }
+  [[nodiscard]] std::size_t sample() const {
+    return static_cast<std::size_t>(channels) * height * width;
+  }
+  [[nodiscard]] std::size_t col_rows() const {
+    return static_cast<std::size_t>(channels) * ksize * ksize;
+  }
+  [[nodiscard]] std::size_t out_hw() const {
+    return static_cast<std::size_t>(out_h()) * out_w();
+  }
+};
+
+std::vector<LoweringCase> LoweringCases() {
+  std::vector<LoweringCase> cases;
+  for (int batch : {1, 3}) {
+    for (int stride : {1, 2}) {
+      for (int ksize : {1, 3, 5}) {
+        for (int pad : {0, 1, 2}) {
+          for (int width = 1; width <= 7; ++width) {
+            for (int height : {2, 5}) {
+              const LoweringCase lc{batch, 2,      height, width,
+                                    ksize, stride, pad};
+              if (width + 2 * pad < ksize || height + 2 * pad < ksize) {
+                continue;
+              }
+              cases.push_back(lc);
+            }
+          }
+        }
+      }
+    }
+  }
+  cases.push_back(LoweringCase{3, 16, 28, 28, 3, 1, 1});  // >= 2^18 floats
+  return cases;
+}
+
+// Today's per-element lowering formula: column row (c, ky, kx), output
+// (oy, ox) of sample s reads input (oy*stride - pad + ky,
+// ox*stride - pad + kx), zero outside the plane.
+void ReferenceIm2Col(const LoweringCase& g, const float* in, float* col) {
+  const std::size_t ld = static_cast<std::size_t>(g.batch) * g.out_hw();
+  for (int s = 0; s < g.batch; ++s) {
+    for (std::size_t row = 0; row < g.col_rows(); ++row) {
+      const int c = static_cast<int>(row) / (g.ksize * g.ksize);
+      const int ky = static_cast<int>(row) / g.ksize % g.ksize;
+      const int kx = static_cast<int>(row) % g.ksize;
+      for (int oy = 0; oy < g.out_h(); ++oy) {
+        for (int ox = 0; ox < g.out_w(); ++ox) {
+          const int iy = oy * g.stride - g.pad + ky;
+          const int ix = ox * g.stride - g.pad + kx;
+          const bool inside =
+              iy >= 0 && iy < g.height && ix >= 0 && ix < g.width;
+          col[row * ld + s * g.out_hw() +
+              static_cast<std::size_t>(oy) * g.out_w() + ox] =
+              inside ? in[s * g.sample() +
+                          (static_cast<std::size_t>(c) * g.height + iy) *
+                              g.width +
+                          ix]
+                     : 0.0F;
+        }
+      }
+    }
+  }
+}
+
+// The matching scatter-add, in today's order per input element:
+// kernel offset, then output row, then output column.
+void ReferenceCol2Im(const LoweringCase& g, const float* col, float* in) {
+  const std::size_t ld = static_cast<std::size_t>(g.batch) * g.out_hw();
+  for (int s = 0; s < g.batch; ++s) {
+    for (std::size_t row = 0; row < g.col_rows(); ++row) {
+      const int c = static_cast<int>(row) / (g.ksize * g.ksize);
+      const int ky = static_cast<int>(row) / g.ksize % g.ksize;
+      const int kx = static_cast<int>(row) % g.ksize;
+      for (int oy = 0; oy < g.out_h(); ++oy) {
+        for (int ox = 0; ox < g.out_w(); ++ox) {
+          const int iy = oy * g.stride - g.pad + ky;
+          const int ix = ox * g.stride - g.pad + kx;
+          if (iy < 0 || iy >= g.height || ix < 0 || ix >= g.width) continue;
+          in[s * g.sample() +
+             (static_cast<std::size_t>(c) * g.height + iy) * g.width + ix] +=
+              col[row * ld + s * g.out_hw() +
+                  static_cast<std::size_t>(oy) * g.out_w() + ox];
+        }
+      }
+    }
+  }
+}
+
+std::string Describe(const LoweringCase& g) {
+  return "batch=" + std::to_string(g.batch) + " c=" +
+         std::to_string(g.channels) + " " + std::to_string(g.height) + "x" +
+         std::to_string(g.width) + " k=" + std::to_string(g.ksize) +
+         " stride=" + std::to_string(g.stride) +
+         " pad=" + std::to_string(g.pad);
+}
+
+TEST(KernelsTest, Im2ColBatchMatchesElementwiseReference) {
+  Rng rng(81);
+  for (const LoweringCase& g : LoweringCases()) {
+    std::vector<float> in(g.sample() * g.batch);
+    for (float& v : in) v = rng.Gaussian();
+    const std::size_t col_size = g.col_rows() * g.out_hw() * g.batch;
+    std::vector<float> expected(col_size);
+    ReferenceIm2Col(g, in.data(), expected.data());
+    for (unsigned threads : {1U, 4U}) {
+      util::ScopedThreads guard(threads);
+      std::vector<float> got(col_size, std::nanf(""));
+      Im2ColBatch(in.data(), g.sample(), g.batch, g.channels, g.height,
+                  g.width, g.ksize, g.stride, g.pad, got.data());
+      ASSERT_EQ(0, std::memcmp(expected.data(), got.data(),
+                               col_size * sizeof(float)))
+          << Describe(g) << " threads=" << threads;
+    }
+  }
+}
+
+TEST(KernelsTest, Col2ImBatchMatchesElementwiseReference) {
+  Rng rng(82);
+  for (const LoweringCase& g : LoweringCases()) {
+    std::vector<float> col(g.col_rows() * g.out_hw() * g.batch);
+    for (float& v : col) v = rng.Gaussian();
+    // Non-zero starting planes: the scatter accumulates.
+    std::vector<float> base(g.sample() * g.batch);
+    for (float& v : base) v = rng.Gaussian();
+    std::vector<float> expected = base;
+    ReferenceCol2Im(g, col.data(), expected.data());
+    for (unsigned threads : {1U, 4U}) {
+      util::ScopedThreads guard(threads);
+      std::vector<float> got = base;
+      Col2ImBatch(col.data(), g.batch, g.channels, g.height, g.width,
+                  g.ksize, g.stride, g.pad, got.data(), g.sample());
+      ASSERT_EQ(0, std::memcmp(expected.data(), got.data(),
+                               got.size() * sizeof(float)))
+          << Describe(g) << " threads=" << threads;
+    }
+  }
 }
 
 TEST(ConvTest, OutputShapes) {
@@ -338,6 +493,113 @@ TEST(MaxPoolTest, ForwardPicksMaxAndBackwardRoutes) {
   double total = 0.0;
   for (float v : delta_in.data) total += v;
   EXPECT_NEAR(total, 10.0, 1e-6);
+}
+
+// Today's generic max-pool loop: window rows outer, columns inner,
+// strict `>` against a -inf seed, winner index 0 when nothing beats it.
+void ReferenceMaxPool(const Batch& in, Shape out_shape, int ksize,
+                      int stride, std::vector<float>& out,
+                      std::vector<std::int32_t>& winners) {
+  const Shape is = in.shape;
+  const std::size_t out_plane =
+      static_cast<std::size_t>(out_shape.w) * out_shape.h;
+  out.assign(static_cast<std::size_t>(in.n) * out_shape.Flat(), 0.0F);
+  winners.assign(out.size(), -1);
+  for (int s = 0; s < in.n; ++s) {
+    for (int c = 0; c < is.c; ++c) {
+      const float* plane =
+          in.Sample(s) + static_cast<std::size_t>(c) * is.h * is.w;
+      for (int oy = 0; oy < out_shape.h; ++oy) {
+        for (int ox = 0; ox < out_shape.w; ++ox) {
+          float best = -std::numeric_limits<float>::infinity();
+          std::int32_t best_idx = 0;
+          for (int ky = 0; ky < ksize; ++ky) {
+            for (int kx = 0; kx < ksize; ++kx) {
+              const int iy = oy * stride + ky;
+              const int ix = ox * stride + kx;
+              if (iy >= is.h || ix >= is.w) continue;
+              const std::int32_t idx = iy * is.w + ix;
+              if (plane[idx] > best) {
+                best = plane[idx];
+                best_idx = idx;
+              }
+            }
+          }
+          const std::size_t o = static_cast<std::size_t>(s) *
+                                    out_shape.Flat() +
+                                c * out_plane + oy * out_shape.w + ox;
+          out[o] = best;
+          winners[o] = best_idx;
+        }
+      }
+    }
+  }
+}
+
+TEST(MaxPoolTest, TwoByTwoFastPathMatchesGenericLoop) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(83);
+  struct PoolCase {
+    Shape in;
+    int ksize, stride;
+  };
+  // Even planes take the 2x2 fast path; odd dims and other geometries
+  // take the generic loop.
+  for (const PoolCase& pc :
+       {PoolCase{Shape{6, 4, 3}, 2, 2}, PoolCase{Shape{28, 28, 8}, 2, 2},
+        PoolCase{Shape{7, 5, 2}, 2, 2}, PoolCase{Shape{6, 5, 2}, 2, 2},
+        PoolCase{Shape{6, 6, 2}, 3, 2}, PoolCase{Shape{5, 5, 1}, 2, 1}}) {
+    MaxPoolLayer pool(pc.in, pc.ksize, pc.stride);
+    Batch in(2, pc.in);
+    for (float& v : in.data) v = static_cast<float>(rng.UniformU64(4)) - 1.5F;
+    // Plane 0 of sample 0 leads with hand-made windows: a tie, NaN
+    // first / later, -inf, and an all-NaN window.
+    const std::tuple<int, int, float> marks[] = {
+        {0, 0, 2.0F}, {0, 1, 2.0F}, {1, 0, 2.0F}, {1, 1, 1.0F},
+        {0, 2, nan},  {0, 3, -1.0F}, {1, 2, 3.0F}, {1, 3, nan},
+        {2, 0, -inf}, {2, 1, -inf}, {3, 0, -inf}, {3, 1, -inf},
+        {2, 2, nan},  {2, 3, nan},  {3, 2, nan},  {3, 3, nan}};
+    for (const auto& [y, x, v] : marks) {
+      in.data[static_cast<std::size_t>(y) * pc.in.w + x] = v;
+    }
+
+    std::vector<float> expected;
+    std::vector<std::int32_t> expected_winners;
+    ReferenceMaxPool(in, pool.out_shape(), pc.ksize, pc.stride, expected,
+                     expected_winners);
+
+    Batch out(2, pool.out_shape());
+    LayerScratch scratch;
+    scratch.argmax.assign(expected_winners.size() + 7, 12345);  // stale
+    LayerContext ctx;
+    ctx.training = false;  // eval mode, as gradient inversion runs it
+    ctx.scratch = &scratch;
+    pool.Forward(in, out, ctx);
+    const std::string what = pool.Describe();
+    ASSERT_EQ(0, std::memcmp(expected.data(), out.data.data(),
+                             expected.size() * sizeof(float)))
+        << what;
+    ASSERT_EQ(scratch.argmax, expected_winners) << what;
+
+    Batch delta_out(2, pool.out_shape());
+    for (float& v : delta_out.data) v = rng.Gaussian();
+    Batch delta_in(2, pool.in_shape());
+    pool.Backward(in, out, delta_out, delta_in, ctx);
+    std::vector<float> expected_delta(delta_in.data.size(), 0.0F);
+    const std::size_t out_plane =
+        static_cast<std::size_t>(pool.out_shape().w) * pool.out_shape().h;
+    const std::size_t in_plane = static_cast<std::size_t>(pc.in.w) * pc.in.h;
+    for (std::size_t o = 0; o < expected_winners.size(); ++o) {
+      const std::size_t s = o / pool.out_shape().Flat();
+      const std::size_t c = o % pool.out_shape().Flat() / out_plane;
+      expected_delta[s * pc.in.Flat() + c * in_plane + expected_winners[o]] +=
+          delta_out.data[o];
+    }
+    ASSERT_EQ(0, std::memcmp(expected_delta.data(), delta_in.data.data(),
+                             expected_delta.size() * sizeof(float)))
+        << what;
+  }
 }
 
 TEST(AvgPoolTest, ForwardMeanBackwardUniform) {

@@ -87,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GroupProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 // ---------------------------------------------------------------------------
-// Im2Col/Col2Im adjointness over convolution geometries.
+// Im2ColBatch/Col2ImBatch adjointness over convolution geometries.
 // ---------------------------------------------------------------------------
 struct ConvGeometry {
   int channels, height, width, ksize, stride, pad;
@@ -111,11 +111,11 @@ TEST_P(Im2ColProperty, AdjointIdentity) {
   for (float& v : y) v = rng.Gaussian();
 
   std::vector<float> col(col_size, 0.0F);
-  nn::Im2Col(x.data(), g.channels, g.height, g.width, g.ksize, g.stride,
-             g.pad, col.data());
+  nn::Im2ColBatch(x.data(), in_size, 1, g.channels, g.height, g.width,
+                  g.ksize, g.stride, g.pad, col.data());
   std::vector<float> back(in_size, 0.0F);
-  nn::Col2Im(y.data(), g.channels, g.height, g.width, g.ksize, g.stride,
-             g.pad, back.data());
+  nn::Col2ImBatch(y.data(), 1, g.channels, g.height, g.width, g.ksize,
+                  g.stride, g.pad, back.data(), in_size);
 
   double lhs = 0.0, rhs = 0.0;
   for (std::size_t i = 0; i < col_size; ++i) lhs += col[i] * y[i];

@@ -13,6 +13,10 @@ forced-scalar rows' byte throughput.  On machines where the hardware
 lacks the extension (crypto_isa reports scalar for that family) the
 check is skipped gracefully — a missing ISA is not a regression.
 
+Third, the conv lowering: on the two 28x28 Table1Spec(16) layers a
+batch-1 BM_ConvForward row must take at most 2x its pre-lowered
+BM_ConvGemm row (skipped when the file has neither row).
+
 Rationale: the work plan is thread-count independent and the dispatch
 width is clamped to the physical core count, so adding threads can
 only help (more cores) or be a no-op (oversubscribed host).  Multi-
@@ -151,18 +155,19 @@ JOURNAL_GATED_OP = "BM_ServeIngest/journal_batch32"
 JOURNAL_MIN_RATIO = 0.90
 
 
-def find_items_per_s(rows, op):
+def find_value(rows, op, field="items_per_s"):
+    """The positive `field` of the row named `op`, or None."""
     for row in rows:
         if row.get("op") == op:
-            value = float(row.get("items_per_s", 0.0))
+            value = float(row.get(field, 0.0))
             if value > 0.0:
                 return value
     return None
 
 
 def check_journal_overhead(rows, require):
-    base = find_items_per_s(rows, JOURNAL_BASE_OP)
-    gated = find_items_per_s(rows, JOURNAL_GATED_OP)
+    base = find_value(rows, JOURNAL_BASE_OP)
+    gated = find_value(rows, JOURNAL_GATED_OP)
     if base is None or gated is None:
         # The serve-ingest rows live in BENCH_serve.json, not
         # BENCH_micro.json — skip quietly when this file has neither
@@ -200,8 +205,8 @@ NET_MIN_RATIO = 0.75
 
 
 def check_net_overhead(rows, require):
-    base = find_items_per_s(rows, NET_BASE_OP)
-    gated = find_items_per_s(rows, NET_GATED_OP)
+    base = find_value(rows, NET_BASE_OP)
+    gated = find_value(rows, NET_GATED_OP)
     if base is None or gated is None:
         # The net-ingest rows live in BENCH_net.json — skip quietly
         # when this file has neither (unless --net-only demands them),
@@ -225,6 +230,45 @@ def check_net_overhead(rows, require):
               f"regression?)")
         return False
     return True
+
+
+# Conv-lowering gate: on the two 28x28 Table1Spec(16) layers a whole
+# single-probe ConvLayer::Forward (im2col + GEMM + epilogue) must take
+# at most this multiple of the same layer's pre-lowered GEMM.  The
+# run-based lowering keeps it near 1.2-1.6x; the per-element copy loop
+# it replaced sat at 2.5-2.9x.
+LOWERING_LAYERS = ("s16_L1_conv8_3x3", "s16_L2_conv8_3x3")
+LOWERING_MAX_RATIO = 2.0
+
+
+def check_lowering(rows):
+    ok = True
+    for layer in LOWERING_LAYERS:
+        forward_op = f"BM_ConvForward/{layer}_b1"
+        gemm_op = f"BM_ConvGemm/{layer}_fast_b1"
+        forward = find_value(rows, forward_op, "ns_per_op")
+        gemm = find_value(rows, gemm_op, "ns_per_op")
+        if forward is None and gemm is None:
+            print(f"skip {forward_op}: no conv-lowering rows in this "
+                  f"bench JSON")
+            continue
+        if forward is None or gemm is None:
+            missing = forward_op if forward is None else gemm_op
+            print(f"FAIL conv-lowering gate: {missing} row missing "
+                  f"(emitter regression?)")
+            ok = False
+            continue
+        ratio = forward / gemm
+        status = "ok" if ratio <= LOWERING_MAX_RATIO else "FAIL"
+        print(f"{status:4} {forward_op:36} {forward:9.0f} ns = "
+              f"{ratio:5.2f}x of its GEMM ({gemm:.0f} ns)")
+        if ratio > LOWERING_MAX_RATIO:
+            print(f"FAIL single-probe conv forward costs {ratio:.2f}x its "
+                  f"GEMM (ceiling {LOWERING_MAX_RATIO:.1f}x) — im2col is "
+                  f"no longer running at memory speed, or the lowering "
+                  f"went back through the thread pool")
+            ok = False
+    return ok
 
 
 def main():
@@ -259,6 +303,7 @@ def main():
             isa = parse_isa_summary(rows)
             for prefix, family in CRYPTO_GATES.items():
                 ok = check_crypto(rows, prefix, family, isa) and ok
+            ok = check_lowering(rows) and ok
         ok = check_journal_overhead(rows, require=args.serve_only) and ok
         ok = check_net_overhead(rows, require=False) and ok
     if ok:
