@@ -54,33 +54,6 @@ void BM_Sha256(benchmark::State& state, const char* tier) {
 BENCHMARK_CAPTURE(BM_Sha256, scalar, "scalar")->Arg(64)->Arg(4096)->Arg(65536);
 BENCHMARK_CAPTURE(BM_Sha256, auto, "auto")->Arg(64)->Arg(4096)->Arg(65536);
 
-// Multi-buffer interface over 32 equal-length lanes (the ingest batch
-// shape: one content hash per record).
-void BM_Sha256Batch(benchmark::State& state, const char* tier) {
-  const crypto::ScopedIsaOverride isa(tier);
-  constexpr std::size_t kLanes = 32;
-  const std::size_t len = static_cast<std::size_t>(state.range(0));
-  const Bytes data(kLanes * len, 0xab);
-  std::vector<BytesView> inputs;
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    inputs.emplace_back(data.data() + i * len, len);
-  }
-  std::vector<crypto::Sha256Digest> digests(kLanes);
-  for (auto _ : state) {
-    crypto::Sha256Batch(
-        std::span<const BytesView>(inputs.data(), inputs.size()),
-        digests.data());
-    benchmark::DoNotOptimize(digests.data());
-  }
-  state.counters["bytes"] = static_cast<double>(len);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLanes * len));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLanes));
-}
-BENCHMARK_CAPTURE(BM_Sha256Batch, scalar, "scalar")->Arg(4096);
-BENCHMARK_CAPTURE(BM_Sha256Batch, auto, "auto")->Arg(4096);
-
 void BM_AesCtr(benchmark::State& state, const char* tier) {
   const crypto::ScopedIsaOverride isa(tier);
   const crypto::Aes aes(Bytes(16, 0x42));
@@ -178,15 +151,17 @@ BENCHMARK(BM_SchnorrVerifySerial)->Arg(64);
 
 // Random-linear-combination aggregate check (the ingest path): one
 // g^{sum z_i s_i} == prod R_i^{z_i} * y^{sum z_i e_i} test for the
-// whole single-participant batch.
-void BM_SchnorrVerifyBatch(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+// whole single-participant batch.  The 32x9408 row is the journey
+// shape: a 32-record ingest batch of 9,408-byte signed portions, where
+// hashing the messages for their challenges is most of the cost.
+void BM_SchnorrVerifyBatch(benchmark::State& state, std::size_t n,
+                           std::size_t message_bytes) {
   crypto::HmacDrbg drbg(BytesOf("bench batch"));
   const crypto::SchnorrKeyPair key = crypto::SchnorrGenerate(drbg);
   std::vector<Bytes> messages;
   std::vector<crypto::SchnorrSignature> sigs;
   for (std::size_t i = 0; i < n; ++i) {
-    messages.push_back(drbg.Generate(64));
+    messages.push_back(drbg.Generate(message_bytes));
     sigs.push_back(crypto::SchnorrSign(key, messages[i], drbg));
   }
   std::vector<crypto::SchnorrBatchItem> items(n);
@@ -201,8 +176,11 @@ void BM_SchnorrVerifyBatch(benchmark::State& state) {
   state.counters["batch"] = static_cast<double>(n);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * message_bytes));
 }
-BENCHMARK(BM_SchnorrVerifyBatch)->Arg(64);
+BENCHMARK_CAPTURE(BM_SchnorrVerifyBatch, 64, 64, 64);
+BENCHMARK_CAPTURE(BM_SchnorrVerifyBatch, 32x9408, 32, 9408);
 
 void BM_EnclaveTransition(benchmark::State& state) {
   enclave::EnclaveConfig config;

@@ -232,9 +232,10 @@ std::vector<char> TrainingServer::AuthenticateRecords(
       }
     }
 
-    // Stage 2: GCM-open the signature survivors in one batch (shared
-    // multi-buffer SHA-256 for the content hashes).  The plaintexts are
-    // discarded — training re-decrypts per batch inside the enclave.
+    // Stage 2: the accept test on the signature survivors — GCM open
+    // plus an instance-header check.  Nothing is decoded or hashed:
+    // training and fingerprinting re-open each record inside the
+    // enclave, and the content hash is computed there.
     std::vector<const data::EncryptedRecord*> to_open;
     std::vector<const crypto::AesGcm*> open_ciphers;
     std::vector<std::size_t> open_record;

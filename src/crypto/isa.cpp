@@ -40,7 +40,6 @@ CryptoDispatch DetectHardware() {
   } else if (ssse3 && sse2) {
     d.sha256 = Sha256Impl::kSsse3;
   }
-  d.sha256_mb = avx2 && ssse3;
 #endif
   return d;
 }
@@ -53,7 +52,6 @@ CryptoDispatch ApplyCap(CryptoDispatch hw, TierCap cap) {
     d.aes = AesImpl::kScalar;
     d.ghash = GhashImpl::kScalar;
     d.sha256 = Sha256Impl::kScalar;
-    d.sha256_mb = false;
   } else if (cap < TierCap::kVaes && d.sha256 == Sha256Impl::kShani) {
     // SHA-NI rides the top tier; the aesni tier keeps the SSSE3
     // message-schedule path so the middle tier is testable everywhere.

@@ -36,10 +36,6 @@ struct CryptoDispatch {
   AesImpl aes = AesImpl::kScalar;
   GhashImpl ghash = GhashImpl::kScalar;
   Sha256Impl sha256 = Sha256Impl::kScalar;
-  // AVX2 8-lane multi-buffer SHA-256 permitted for Sha256Batch (false
-  // when the env cap is `scalar` or the CPU lacks AVX2; SHA-NI lanes
-  // are fast enough that the shani tier loops them instead).
-  bool sha256_mb = false;
 };
 
 /// The active dispatch table.  Resolved once from cpuid and

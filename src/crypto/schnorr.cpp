@@ -164,10 +164,10 @@ std::vector<std::size_t> SchnorrVerifyBatch(
   ctx.z.resize(items.size());
   ctx.structural_ok.assign(items.size(), true);
 
-  // Range checks (identical to SchnorrVerify) and per-item challenges;
-  // no exponentiation happens here — the aggregate check amortizes the
-  // ladders across the batch.
-  Sha256 batch_hasher;
+  // Range checks (identical to SchnorrVerify) and per-item challenges —
+  // the only pass over the messages.  No exponentiation happens here;
+  // the aggregate check amortizes the ladders across the batch.
+  Sha256 seed_hasher;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const SchnorrBatchItem& item = items[i];
     if (item.public_value < 2 || item.public_value >= p ||
@@ -178,16 +178,18 @@ std::vector<std::size_t> SchnorrVerifyBatch(
     }
     ctx.e[i] =
         Challenge(item.signature.commitment, item.public_value, item.message);
-    const Bytes enc = SerializeSignature(item.signature);
-    const Bytes y = U128ToBytes(item.public_value);
-    batch_hasher.Update(BytesView(enc.data(), enc.size()));
-    batch_hasher.Update(BytesView(y.data(), y.size()));
-    batch_hasher.Update(item.message);
+    // The seed covers (R_i, s_i, y_i, e_i), everything the aggregate
+    // check reads; e_i already binds the message (see schnorr.hpp).
+    for (const U128 v : {item.signature.commitment, item.signature.response,
+                         item.public_value, ctx.e[i]}) {
+      const Bytes enc = U128ToBytes(v);
+      seed_hasher.Update(BytesView(enc.data(), enc.size()));
+    }
   }
 
   // RLC weights from a DRBG seeded by the batch content, so a forger
   // cannot pick signatures against known weights.  Odd => nonzero.
-  const Sha256Digest seed = batch_hasher.Finish();
+  const Sha256Digest seed = seed_hasher.Finish();
   HmacDrbg drbg(BytesView(seed.data(), seed.size()),
                 BytesOf("schnorr-batch-rlc"));
   for (std::size_t i = 0; i < items.size(); ++i) {

@@ -50,7 +50,16 @@ struct SchnorrBatchItem {
 /// weights z_i drawn from an HMAC-DRBG seeded by a hash of the whole
 /// batch, all signatures are valid iff
 ///   g^{sum z_i s_i} == prod R_i^{z_i} * prod_y y^{sum z_i e_i}
-/// (up to a 2^-64 aggregation collision).  The public-key side groups
+/// (up to a 2^-64 aggregation collision).
+///
+/// The seed hashes (R_i, s_i, y_i, e_i) per item, not the messages.
+/// The check above reads the message m_i only through the challenge
+/// e_i = H(R_i || y_i || m_i), so fixing the seed's inputs fixes every
+/// value the equation sees: a forger who wants weights that cancel a
+/// bad item must change some R_i, s_i, y_i or m_i, and changing m_i
+/// changes e_i (short of a hash collision), which re-draws every
+/// weight.  Hashing each message a second time would bind nothing
+/// more; each message is hashed once, for its challenge.  The public-key side groups
 /// by distinct y, so a batch from one participant — the ingest shape —
 /// costs one ladder for the whole batch plus ~32 multiplies per item.
 /// On aggregate mismatch the batch is bisected, with an exact per-item

@@ -35,15 +35,10 @@ constexpr std::array<std::uint32_t, 8> kSha256Iv = {
 
 }  // namespace
 
-// SHA-NI / SSSE3 / AVX2 multi-buffer kernels (x86 only; no-op include
-// elsewhere).  Included here so the kernels see kRoundConstants/Rotr.
+// SHA-NI / SSSE3 kernels (x86 only; no-op include elsewhere).  Included here so the kernels see kRoundConstants/Rotr.
 #include "crypto/sha256_kernels.inc"
 
 Sha256::Sha256() noexcept { state_ = kSha256Iv; }
-
-Sha256::Sha256(const std::array<std::uint32_t, 8>& state,
-               std::uint64_t total_bytes) noexcept
-    : state_(state), total_bytes_(total_bytes) {}
 
 void Sha256::ProcessBlock(const std::uint8_t* block) noexcept {
   std::array<std::uint32_t, 64> w{};
@@ -146,43 +141,6 @@ Sha256Digest Sha256Hash(BytesView data) noexcept {
   Sha256 hasher;
   hasher.Update(data);
   return hasher.Finish();
-}
-
-void Sha256Batch(std::span<const BytesView> inputs,
-                 Sha256Digest* digests) noexcept {
-  std::size_t i = 0;
-#if defined(__x86_64__) || defined(__i386__)
-  const CryptoDispatch& dispatch = ActiveDispatch();
-  if (dispatch.sha256_mb && dispatch.sha256 != Sha256Impl::kShani) {
-    for (; i + 8 <= inputs.size(); i += 8) {
-      // Compress the blocks all eight lanes share in SIMD, then let
-      // each lane finish its tail + padding on the portable path from
-      // the injected state.  Ingest batches have equal-sized records,
-      // so "common" is normally everything but the padding block.
-      std::size_t common_blocks = inputs[i].size() / 64;
-      for (int lane = 1; lane < 8; ++lane) {
-        common_blocks = std::min(common_blocks, inputs[i + lane].size() / 64);
-      }
-      std::uint32_t states[8][8];
-      const std::uint8_t* lanes[8];
-      for (int lane = 0; lane < 8; ++lane) {
-        std::memcpy(states[lane], kSha256Iv.data(), sizeof(states[lane]));
-        lanes[lane] = inputs[i + lane].data();
-      }
-      if (common_blocks > 0) {
-        kernels::Sha256Multi8Avx2(states, lanes, common_blocks);
-      }
-      for (int lane = 0; lane < 8; ++lane) {
-        std::array<std::uint32_t, 8> state;
-        std::memcpy(state.data(), states[lane], sizeof(states[lane]));
-        Sha256 hasher(state, common_blocks * 64);
-        hasher.Update(inputs[i + lane].subspan(common_blocks * 64));
-        digests[i + lane] = hasher.Finish();
-      }
-    }
-  }
-#endif
-  for (; i < inputs.size(); ++i) digests[i] = Sha256Hash(inputs[i]);
 }
 
 Bytes ToBytes(const Sha256Digest& digest) {

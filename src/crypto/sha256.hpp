@@ -3,11 +3,9 @@
 // secure-channel transcript hash.
 //
 // Block compression dispatches at runtime to SHA-NI (or an SSSE3-
-// assisted message schedule on CPUs without it); Sha256Batch hashes
-// independent buffers — e.g. every record of an ingest batch — eight
-// at a time in AVX2 lanes.  See crypto/isa.hpp for tier selection and
-// the CALTRAIN_CRYPTO_ISA override; all paths are bit-identical to
-// the portable implementation.
+// assisted message schedule on CPUs without it).  See crypto/isa.hpp
+// for tier selection and the CALTRAIN_CRYPTO_ISA override; all paths
+// are bit-identical to the portable implementation.
 #pragma once
 
 #include <array>
@@ -31,16 +29,6 @@ class Sha256 {
   [[nodiscard]] Sha256Digest Finish() noexcept;
 
  private:
-  friend void Sha256Batch(std::span<const BytesView> inputs,
-                          Sha256Digest* digests) noexcept;
-
-  /// State injection for Sha256Batch: resumes hashing as if
-  /// `total_bytes` bytes had already been compressed into `state` —
-  /// how the multi-buffer kernel's common-prefix result hands each
-  /// lane back to the portable tail/padding path.
-  Sha256(const std::array<std::uint32_t, 8>& state,
-         std::uint64_t total_bytes) noexcept;
-
   void ProcessBlock(const std::uint8_t* block) noexcept;
   /// Runs `nblocks` consecutive 64-byte blocks through the dispatched
   /// compression kernel (SHA-NI / SSSE3 / scalar).
@@ -54,15 +42,6 @@ class Sha256 {
 
 /// One-shot convenience.
 [[nodiscard]] Sha256Digest Sha256Hash(BytesView data) noexcept;
-
-/// Hashes `inputs.size()` independent buffers into `digests` (which
-/// must have room for one digest per input).  Equivalent to calling
-/// Sha256Hash on each input; when the CPU has AVX2 (and no SHA-NI,
-/// which is faster per lane already), groups of eight buffers are
-/// compressed together in the eight 32-bit lanes of AVX2 registers —
-/// the ingest-batch fast path for record content hashes.
-void Sha256Batch(std::span<const BytesView> inputs,
-                 Sha256Digest* digests) noexcept;
 
 /// Digest as a caltrain::Bytes value (for serialization).
 [[nodiscard]] Bytes ToBytes(const Sha256Digest& digest);

@@ -20,6 +20,66 @@ Bytes SeedBytes(std::uint64_t seed) {
   return out;
 }
 
+/// An instance blob is u32 w, h, c, label, then a u32 float count and
+/// the floats themselves.
+constexpr std::size_t kInstanceHeaderBytes = 5 * 4;
+
+/// The one definition of a well-formed instance blob, shared by the
+/// decoding open (OpenRecord) and the header-only accept test
+/// (OpenRecordsBatch): the float count equals shape.Flat() and exactly
+/// fills the rest of the blob.  Reads only the header, so a hostile
+/// shape is rejected before anything is sized from it.
+std::optional<InstanceHeader> ParseInstanceHeader(BytesView blob) {
+  if (blob.size() < kInstanceHeaderBytes) return std::nullopt;
+  ByteReader reader(blob.first(kInstanceHeaderBytes));
+  InstanceHeader header;
+  header.shape.w = static_cast<int>(reader.ReadU32());
+  header.shape.h = static_cast<int>(reader.ReadU32());
+  header.shape.c = static_cast<int>(reader.ReadU32());
+  header.label = static_cast<int>(reader.ReadU32());
+  const std::size_t count = reader.ReadU32();
+  if (count != header.shape.Flat() ||
+      blob.size() - kInstanceHeaderBytes != count * sizeof(float)) {
+    return std::nullopt;
+  }
+  return header;
+}
+
+/// The pixels of a blob ParseInstanceHeader accepted.
+nn::Image DecodePixels(BytesView blob, const InstanceHeader& header) {
+  nn::Image image;
+  image.shape = header.shape;
+  // The float vector starts at the count field.
+  ByteReader reader(blob.subspan(kInstanceHeaderBytes - 4));
+  image.pixels = reader.ReadF32Vector();
+  return image;
+}
+
+/// GCM-opens `record` with `cipher`; nullopt on a malformed IV/tag or
+/// a failed tag check.
+std::optional<Bytes> OpenSealed(const EncryptedRecord& record,
+                                const crypto::AesGcm& cipher) {
+  if (record.iv.size() != crypto::kGcmIvSize ||
+      record.tag.size() != crypto::kGcmTagSize) {
+    return std::nullopt;
+  }
+  std::array<std::uint8_t, crypto::kGcmTagSize> tag{};
+  std::copy(record.tag.begin(), record.tag.end(), tag.begin());
+  return cipher.Open(record.iv, RecordAad(record.participant_id, record.label),
+                     record.ciphertext, tag);
+}
+
+/// The header of an opened record's plaintext, if it is well-formed
+/// and its inner label matches the authenticated outer one.
+std::optional<InstanceHeader> AcceptedHeader(const EncryptedRecord& record,
+                                             BytesView plaintext) {
+  std::optional<InstanceHeader> header = ParseInstanceHeader(plaintext);
+  if (header.has_value() && header->label != record.label) {
+    return std::nullopt;  // inner/outer mismatch
+  }
+  return header;
+}
+
 }  // namespace
 
 std::size_t EncryptedRecord::SerializedSize() const noexcept {
@@ -79,17 +139,9 @@ Bytes SerializeTrainingInstance(const nn::Image& image, int label) {
 }
 
 std::pair<nn::Image, int> DeserializeTrainingInstance(BytesView blob) {
-  ByteReader reader(blob);
-  nn::Shape shape;
-  shape.w = static_cast<int>(reader.ReadU32());
-  shape.h = static_cast<int>(reader.ReadU32());
-  shape.c = static_cast<int>(reader.ReadU32());
-  const int label = static_cast<int>(reader.ReadU32());
-  nn::Image image(shape);
-  image.pixels = reader.ReadF32Vector();
-  CALTRAIN_REQUIRE(image.pixels.size() == shape.Flat() && reader.AtEnd(),
-                   "malformed training instance blob");
-  return {std::move(image), label};
+  const std::optional<InstanceHeader> header = ParseInstanceHeader(blob);
+  CALTRAIN_REQUIRE(header.has_value(), "malformed training instance blob");
+  return {DecodePixels(blob, *header), header->label};
 }
 
 crypto::Sha256Digest HashTrainingInstance(const nn::Image& image, int label) {
@@ -140,83 +192,31 @@ std::optional<VerifiedRecord> OpenRecord(const EncryptedRecord& record,
 
 std::optional<VerifiedRecord> OpenRecord(const EncryptedRecord& record,
                                          const crypto::AesGcm& cipher) {
-  if (record.iv.size() != crypto::kGcmIvSize ||
-      record.tag.size() != crypto::kGcmTagSize) {
-    return std::nullopt;
-  }
-  std::array<std::uint8_t, crypto::kGcmTagSize> tag{};
-  std::copy(record.tag.begin(), record.tag.end(), tag.begin());
-  const auto plaintext =
-      cipher.Open(record.iv, RecordAad(record.participant_id, record.label),
-                  record.ciphertext, tag);
+  const std::optional<Bytes> plaintext = OpenSealed(record, cipher);
   if (!plaintext.has_value()) return std::nullopt;
-
-  try {
-    auto [image, label] = DeserializeTrainingInstance(*plaintext);
-    if (label != record.label) return std::nullopt;  // inner/outer mismatch
-    VerifiedRecord verified;
-    // The plaintext IS the canonical instance serialization, so hashing
-    // it directly equals HashTrainingInstance without re-serializing.
-    verified.content_hash = crypto::Sha256Hash(*plaintext);
-    verified.image = std::move(image);
-    verified.label = label;
-    verified.participant_id = record.participant_id;
-    return verified;
-  } catch (const Error&) {
-    return std::nullopt;
-  }
+  const std::optional<InstanceHeader> header =
+      AcceptedHeader(record, *plaintext);
+  if (!header.has_value()) return std::nullopt;
+  VerifiedRecord verified;
+  verified.image = DecodePixels(*plaintext, *header);
+  verified.label = header->label;
+  verified.participant_id = record.participant_id;
+  // The plaintext IS the canonical instance serialization, so hashing
+  // it directly equals HashTrainingInstance without re-serializing.
+  verified.content_hash = crypto::Sha256Hash(*plaintext);
+  return verified;
 }
 
-std::vector<std::optional<VerifiedRecord>> OpenRecordsBatch(
+std::vector<std::optional<InstanceHeader>> OpenRecordsBatch(
     std::span<const EncryptedRecord* const> records,
     std::span<const crypto::AesGcm* const> ciphers) {
   CALTRAIN_REQUIRE(records.size() == ciphers.size(),
                    "record/cipher count mismatch in batch open");
-  std::vector<std::optional<VerifiedRecord>> results(records.size());
-
-  // Pass 1: GCM-open and structurally validate each record, keeping the
-  // plaintexts of the survivors for the hash batch.
-  std::vector<Bytes> plaintexts(records.size());
-  std::vector<BytesView> to_hash;
-  std::vector<std::size_t> hash_index;
-  to_hash.reserve(records.size());
-  hash_index.reserve(records.size());
+  std::vector<std::optional<InstanceHeader>> results(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const EncryptedRecord& record = *records[i];
-    if (record.iv.size() != crypto::kGcmIvSize ||
-        record.tag.size() != crypto::kGcmTagSize) {
-      continue;
-    }
-    std::array<std::uint8_t, crypto::kGcmTagSize> tag{};
-    std::copy(record.tag.begin(), record.tag.end(), tag.begin());
-    auto plaintext = ciphers[i]->Open(
-        record.iv, RecordAad(record.participant_id, record.label),
-        record.ciphertext, tag);
-    if (!plaintext.has_value()) continue;
-    try {
-      auto [image, label] = DeserializeTrainingInstance(*plaintext);
-      if (label != record.label) continue;  // inner/outer mismatch
-      VerifiedRecord verified;
-      verified.image = std::move(image);
-      verified.label = label;
-      verified.participant_id = record.participant_id;
-      results[i] = std::move(verified);
-      plaintexts[i] = std::move(*plaintext);
-      to_hash.emplace_back(plaintexts[i].data(), plaintexts[i].size());
-      hash_index.push_back(i);
-    } catch (const Error&) {
-      // malformed inner blob: rejected
-    }
-  }
-
-  // Pass 2: all content hashes in one multi-buffer sweep.
-  if (!to_hash.empty()) {
-    std::vector<crypto::Sha256Digest> digests(to_hash.size());
-    crypto::Sha256Batch(
-        std::span<const BytesView>(to_hash.data(), to_hash.size()),
-        digests.data());
-    for (std::size_t k = 0; k < hash_index.size(); ++k) {
-      results[hash_index[k]]->content_hash = digests[k];
+    const std::optional<Bytes> plaintext = OpenSealed(*records[i], *ciphers[i]);
+    if (plaintext.has_value()) {
+      results[i] = AcceptedHeader(*records[i], *plaintext);
     }
   }
   return results;

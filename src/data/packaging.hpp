@@ -57,10 +57,20 @@ struct VerifiedRecord {
   crypto::Sha256Digest content_hash{};  ///< H of the linkage tuple
 };
 
+/// What the ingest accept test learns about a sealed instance without
+/// decoding its pixels: the shape and label its header declares.
+struct InstanceHeader {
+  nn::Shape shape;
+  int label = 0;
+};
+
 /// Canonical serialization of (image, label) — the bytes that are
 /// encrypted and the bytes the linkage hash H covers.
 [[nodiscard]] Bytes SerializeTrainingInstance(const nn::Image& image,
                                               int label);
+/// Throws Error(kInvalidArgument) unless the float count equals
+/// shape.Flat() and exactly fills the blob; the header is checked
+/// before anything is allocated from it.
 [[nodiscard]] std::pair<nn::Image, int> DeserializeTrainingInstance(
     BytesView blob);
 
@@ -109,12 +119,13 @@ class DataPackager {
 [[nodiscard]] std::optional<VerifiedRecord> OpenRecord(
     const EncryptedRecord& record, const crypto::AesGcm& cipher);
 
-/// Batch form of OpenRecord for the ingest path: GCM-opens every
-/// record (records[i] with ciphers[i]) and computes the linkage
-/// content hashes with the multi-buffer SHA-256 engine instead of one
-/// hash per record.  results[i] is nullopt exactly where
+/// The ingest accept test: GCM-opens every record (records[i] with
+/// ciphers[i]) and checks its instance header — shape, label, and a
+/// float count equal to shape.Flat() that exactly fills the plaintext —
+/// without decoding pixels or hashing (training re-opens each record
+/// with OpenRecord).  results[i] is nullopt exactly where
 /// OpenRecord(records[i], ciphers[i]) would reject.
-[[nodiscard]] std::vector<std::optional<VerifiedRecord>> OpenRecordsBatch(
+[[nodiscard]] std::vector<std::optional<InstanceHeader>> OpenRecordsBatch(
     std::span<const EncryptedRecord* const> records,
     std::span<const crypto::AesGcm* const> ciphers);
 

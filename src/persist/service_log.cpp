@@ -123,12 +123,22 @@ std::uint64_t ServiceLog::AppendDirectory(const DirectoryEvent& event) {
 Bytes EncodeCommitBatch(const CommitBatchEvent& event) {
   CALTRAIN_REQUIRE(event.records.size() == event.accepted.size(),
                    "accept-flag count != record count");
+  // Sized up front so each record is copied once, straight into the
+  // frame: the same bytes as WriteBytes(record.Serialize()) per record.
+  std::size_t frame_bytes = 1 + 8 + 4;
+  for (const data::EncryptedRecord& record : event.records) {
+    frame_bytes += 4 + record.SerializedSize() + 1;
+  }
   ByteWriter writer;
+  writer.Reserve(frame_bytes);
   writer.WriteU8(static_cast<std::uint8_t>(EventType::kCommitBatch));
   writer.WriteU64(event.seq);
   writer.WriteU32(static_cast<std::uint32_t>(event.records.size()));
   for (std::size_t i = 0; i < event.records.size(); ++i) {
-    writer.WriteBytes(event.records[i].Serialize());
+    const std::size_t size = event.records[i].SerializedSize();
+    CALTRAIN_REQUIRE(size <= 0xffffffffULL, "byte string too long");
+    writer.WriteU32(static_cast<std::uint32_t>(size));
+    event.records[i].SerializeTo(writer);
     writer.WriteU8(event.accepted[i] != 0 ? 1 : 0);
   }
   return writer.Take();

@@ -605,6 +605,12 @@ void Service::PumpIngest() {
 void Service::ProcessBatch(IngestBatch batch) {
   const std::uint64_t seq = batch.seq;
   AuthedBatch done;
+  const auto fail = [&](ServeErrorKind kind, const char* message) {
+    done.failed = true;
+    done.fail_kind = kind;
+    done.fail_message = message;
+    done.accepted.assign(batch.records.size(), 0);
+  };
   try {
     // The whole batch is authenticated under ONE enclave transition —
     // this is the ECALL amortization the async API exists for.
@@ -619,12 +625,14 @@ void Service::ProcessBatch(IngestBatch batch) {
           server_.AuthenticateRecords(batch.records, batch.records.size());
     });
   } catch (const Error& e) {
-    done.failed = true;
-    done.fail_kind = e.kind() == ErrorKind::kUnavailable
-                         ? ServeErrorKind::kRetryExhausted
-                         : ServeErrorKind::kInternal;
-    done.fail_message = e.what();
-    done.accepted.assign(batch.records.size(), 0);
+    fail(e.kind() == ErrorKind::kUnavailable ? ServeErrorKind::kRetryExhausted
+                                             : ServeErrorKind::kInternal,
+         e.what());
+  } catch (const std::exception& e) {
+    // Any other exception (std::bad_alloc, say) fails just this batch
+    // too: the ticket must still reach Commit, or every later
+    // submission would wait on it forever.
+    fail(ServeErrorKind::kInternal, e.what());
   }
   done.records = std::move(batch.records);
   done.submission = std::move(batch.submission);

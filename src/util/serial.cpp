@@ -47,7 +47,13 @@ void ByteWriter::WriteString(const std::string& s) {
 void ByteWriter::WriteF32Vector(const std::vector<float>& v) {
   CALTRAIN_REQUIRE(v.size() <= 0xffffffffULL, "vector too long");
   WriteU32(static_cast<std::uint32_t>(v.size()));
-  for (float x : v) WriteF32(x);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The in-memory floats already are the little-endian wire bytes.
+    Append(buffer_, BytesView(reinterpret_cast<const std::uint8_t*>(v.data()),
+                              v.size() * sizeof(float)));
+  } else {
+    for (float x : v) WriteF32(x);
+  }
 }
 
 void ByteReader::Need(std::size_t n) const {
@@ -105,9 +111,15 @@ std::string ByteReader::ReadString() {
 
 std::vector<float> ByteReader::ReadF32Vector() {
   const std::uint32_t len = ReadU32();
-  Need(static_cast<std::size_t>(len) * 4);
+  const std::size_t bytes = std::size_t{len} * sizeof(float);
+  Need(bytes);
   std::vector<float> out(len);
-  for (std::uint32_t i = 0; i < len; ++i) out[i] = ReadF32();
+  if constexpr (std::endian::native == std::endian::little) {
+    if (bytes != 0) std::memcpy(out.data(), data_.data() + pos_, bytes);
+    pos_ += bytes;
+  } else {
+    for (std::uint32_t i = 0; i < len; ++i) out[i] = ReadF32();
+  }
   return out;
 }
 

@@ -509,33 +509,6 @@ TEST(IsaTest, Sha256ParityScalarVsAccelerated) {
   }
 }
 
-TEST(IsaTest, Sha256BatchMatchesSerialUnderEveryTier) {
-  const Bytes material = ParityMaterial(8192);
-  // 21 lanes of staggered lengths: exercises the 8-wide multi-buffer
-  // kernel (two full waves + remainder) plus empty and sub-block lanes.
-  std::vector<BytesView> inputs;
-  for (std::size_t i = 0; i < 21; ++i) {
-    inputs.emplace_back(material.data() + i, (i * 151) % 1500);
-  }
-  std::vector<Sha256Digest> expect(inputs.size());
-  {
-    ScopedIsaOverride isa("scalar");
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      expect[i] = Sha256Hash(inputs[i]);
-    }
-  }
-  for (const char* tier : kIsaTiers) {
-    SCOPED_TRACE(tier);
-    ScopedIsaOverride isa(tier);
-    std::vector<Sha256Digest> got(inputs.size());
-    Sha256Batch(std::span<const BytesView>(inputs.data(), inputs.size()),
-                got.data());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      EXPECT_EQ(got[i], expect[i]) << "lane " << i;
-    }
-  }
-}
-
 TEST(GroupTest, MulModMersenneMatchesDoubleAndAdd) {
   // The Mersenne fast path must agree with schoolbook double-and-add.
   const U128 p = GroupPrime();
@@ -648,6 +621,41 @@ TEST(SchnorrTest, VerifyBatchAgreesWithSerialVerify) {
     const bool batch_ok =
         std::find(invalid.begin(), invalid.end(), i) == invalid.end();
     EXPECT_EQ(batch_ok, serial_ok) << "item " << i;
+  }
+}
+
+TEST(SchnorrTest, SingleSignerBatchFlagsMessageTamper) {
+  // The ingest shape: one signer, 32 record-sized messages.  The RLC
+  // seed does not hash the messages themselves, so a message flipped
+  // under an intact signature must still be caught (through its
+  // challenge) and attributed exactly.
+  HmacDrbg drbg(BytesOf("single signer fixture"));
+  const SchnorrKeyPair key = SchnorrGenerate(drbg);
+  std::vector<Bytes> messages;
+  std::vector<SchnorrSignature> sigs;
+  for (std::size_t i = 0; i < 32; ++i) {
+    messages.push_back(drbg.Generate(9408));
+    sigs.push_back(SchnorrSign(key, messages[i], drbg));
+  }
+  for (const std::size_t victim : {std::size_t{0}, std::size_t{13},
+                                   std::size_t{31}}) {
+    std::vector<Bytes> tampered = messages;
+    tampered[victim][4700 + victim] ^= 0x20;
+    std::vector<SchnorrBatchItem> items(tampered.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      items[i].public_value = key.public_value;
+      items[i].message = BytesView(tampered[i].data(), tampered[i].size());
+      items[i].signature = sigs[i];
+    }
+    const std::vector<std::size_t> invalid = SchnorrVerifyBatch(items);
+    EXPECT_EQ(invalid, std::vector<std::size_t>{victim});
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const bool batch_ok =
+          std::find(invalid.begin(), invalid.end(), i) == invalid.end();
+      EXPECT_EQ(batch_ok, SchnorrVerify(key.public_value, items[i].message,
+                                        items[i].signature))
+          << "victim " << victim << " item " << i;
+    }
   }
 }
 

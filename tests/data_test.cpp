@@ -180,6 +180,140 @@ TEST(PackagingTest, HashIsContentSensitive) {
   EXPECT_EQ(h1, HashTrainingInstance(img, 0));
 }
 
+// Seals an arbitrary instance blob the way DataPackager::Pack seals a
+// canonical one (AAD = length-prefixed source, then the u32 label), so
+// tests can hand the enclave well-authenticated but malformed plaintext.
+EncryptedRecord SealInstanceBlob(const std::string& participant_id,
+                                 int label, const Bytes& blob, BytesView key,
+                                 std::uint8_t iv_byte) {
+  ByteWriter aad;
+  aad.WriteString(participant_id);
+  aad.WriteU32(static_cast<std::uint32_t>(label));
+  EncryptedRecord record;
+  record.participant_id = participant_id;
+  record.label = label;
+  record.iv = Bytes(crypto::kGcmIvSize, iv_byte);
+  const crypto::GcmSealed sealed =
+      crypto::AesGcm(key).Seal(record.iv, aad.data(), blob);
+  record.ciphertext = sealed.ciphertext;
+  record.tag.assign(sealed.tag.begin(), sealed.tag.end());
+  return record;
+}
+
+/// Instance blob with a free-form header: w, h, c, label, float count,
+/// then `payload_bytes` bytes of payload.
+Bytes InstanceBlob(nn::Shape shape, int label, std::uint32_t count,
+                   std::size_t payload_bytes) {
+  ByteWriter writer;
+  writer.WriteU32(static_cast<std::uint32_t>(shape.w));
+  writer.WriteU32(static_cast<std::uint32_t>(shape.h));
+  writer.WriteU32(static_cast<std::uint32_t>(shape.c));
+  writer.WriteU32(static_cast<std::uint32_t>(label));
+  writer.WriteU32(count);
+  Bytes blob = writer.Take();
+  blob.resize(blob.size() + payload_bytes, 0x3f);
+  return blob;
+}
+
+std::size_t BatchAccepts(const EncryptedRecord& record, BytesView key) {
+  const crypto::AesGcm cipher(key);
+  const EncryptedRecord* records[] = {&record};
+  const crypto::AesGcm* ciphers[] = {&cipher};
+  return OpenRecordsBatch(records, ciphers)[0].has_value() ? 1 : 0;
+}
+
+TEST(PackagingTest, HugeInstanceHeaderRejectedWithoutAllocating) {
+  // Headers declaring far more floats than the blob carries.  The
+  // length check must come before anything is sized from the header: a
+  // 65536^3 shape would otherwise throw std::bad_alloc (or abort under
+  // ASan) instead of being a typed reject, and 1024x1024x64 would cost
+  // a 256 MB zero-filled allocation per record.
+  const Bytes key(32, 0x42);
+  const nn::Shape hostile[] = {{65536, 65536, 65536}, {1024, 1024, 64},
+                               {-1, -1, -1}};
+  for (const nn::Shape& shape : hostile) {
+    SCOPED_TRACE(shape.ToString());
+    nn::Image image;
+    image.shape = shape;  // no pixels: the blob's float count is 0
+    EXPECT_THROW((void)DeserializeTrainingInstance(
+                     SerializeTrainingInstance(image, 3)),
+                 Error);
+    DataPackager packager("mallory", key, 7);
+    const EncryptedRecord record = packager.Pack(image, 3);
+    EXPECT_FALSE(OpenRecord(record, key).has_value());
+    EXPECT_EQ(BatchAccepts(record, key), 0U);
+  }
+  // A count that matches the huge shape but no payload behind it.
+  const Bytes blob = InstanceBlob({1024, 1024, 64}, 3, 1024U * 1024U * 64U, 0);
+  EXPECT_THROW((void)DeserializeTrainingInstance(blob), Error);
+  const EncryptedRecord record = SealInstanceBlob("mallory", 3, blob, key, 1);
+  EXPECT_FALSE(OpenRecord(record, key).has_value());
+  EXPECT_EQ(BatchAccepts(record, key), 0U);
+}
+
+TEST(PackagingTest, BatchOpenAcceptsExactlyWhatOpenRecordAccepts) {
+  const Bytes key(32, 0x42);
+  nn::Image image(nn::Shape{2, 2, 1});
+  image.pixels = {0.1F, 0.2F, 0.3F, 0.4F};
+  DataPackager packager("alice", key, 21);
+  std::vector<EncryptedRecord> corpus;
+  std::vector<bool> expect_accept;
+  const auto add = [&](EncryptedRecord record, bool accept) {
+    corpus.push_back(std::move(record));
+    expect_accept.push_back(accept);
+  };
+  const auto sealed = [&](const Bytes& blob, int outer_label) {
+    return SealInstanceBlob("alice", outer_label, blob, key,
+                            static_cast<std::uint8_t>(corpus.size()));
+  };
+  add(packager.Pack(image, 5), true);
+  add(sealed(InstanceBlob({2, 2, 1}, 5, 4, 16), 5), true);
+  add(sealed(InstanceBlob({0, 0, 0}, 5, 0, 0), 5), true);  // empty image
+  add(sealed(Bytes(10, 0), 5), false);                      // short header
+  add(sealed(Bytes{}, 5), false);                           // empty blob
+  add(sealed(InstanceBlob({2, 2, 1}, 5, 3, 12), 5), false);  // count != Flat
+  add(sealed(InstanceBlob({2, 2, 1}, 5, 4, 12), 5), false);  // payload short
+  add(sealed(InstanceBlob({2, 2, 1}, 5, 4, 17), 5), false);  // trailing byte
+  add(sealed(InstanceBlob({2, 2, 1}, 6, 4, 16), 5), false);  // inner label
+  add(sealed(InstanceBlob({2, 2, 1}, -7, 4, 16), -7), true);  // u32 label
+  {
+    EncryptedRecord tampered = packager.Pack(image, 5);
+    tampered.ciphertext[3] ^= 0x01;
+    add(std::move(tampered), false);
+  }
+  {
+    EncryptedRecord bad_iv = packager.Pack(image, 5);
+    bad_iv.iv.pop_back();
+    add(std::move(bad_iv), false);
+  }
+  {
+    EncryptedRecord bad_tag = packager.Pack(image, 5);
+    bad_tag.tag.push_back(0);
+    add(std::move(bad_tag), false);
+  }
+  {
+    DataPackager other("alice", Bytes(32, 0x43), 22);  // wrong key
+    add(other.Pack(image, 5), false);
+  }
+
+  const crypto::AesGcm cipher(key);
+  std::vector<const EncryptedRecord*> records;
+  for (const EncryptedRecord& record : corpus) records.push_back(&record);
+  const std::vector<const crypto::AesGcm*> ciphers(corpus.size(), &cipher);
+  const auto batch = OpenRecordsBatch(records, ciphers);
+  ASSERT_EQ(batch.size(), corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto opened = OpenRecord(corpus[i], cipher);
+    EXPECT_EQ(opened.has_value(), expect_accept[i]);
+    ASSERT_EQ(batch[i].has_value(), opened.has_value());
+    if (opened.has_value()) {
+      EXPECT_EQ(batch[i]->shape, opened->image.shape);
+      EXPECT_EQ(batch[i]->label, opened->label);
+    }
+  }
+}
+
 class PackagingRoundTrip : public ::testing::Test {
  protected:
   PackagingRoundTrip() : packager_("alice", key_, 33) {

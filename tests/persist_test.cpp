@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -23,6 +24,8 @@
 
 #include "core/participant.hpp"
 #include "core/server.hpp"
+#include "crypto/drbg.hpp"
+#include "data/packaging.hpp"
 #include "data/synthetic_cifar.hpp"
 #include "nn/presets.hpp"
 #include "persist/journal.hpp"
@@ -32,6 +35,7 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 
 namespace caltrain {
 namespace {
@@ -357,6 +361,53 @@ TEST(ServiceLogTest, EventRoundTrip) {
   EXPECT_EQ(report.frames, 5U);
   EXPECT_EQ(seen, 5);
   RemoveTree(dir);
+}
+
+// The commit-batch frame as it was first written: every record
+// serialized into its own buffer, then copied in length-prefixed.
+Bytes ReferenceCommitBatch(const persist::CommitBatchEvent& event) {
+  ByteWriter writer;
+  writer.WriteU8(2);  // EventType::kCommitBatch on the wire
+  writer.WriteU64(event.seq);
+  writer.WriteU32(static_cast<std::uint32_t>(event.records.size()));
+  for (std::size_t i = 0; i < event.records.size(); ++i) {
+    writer.WriteBytes(event.records[i].Serialize());
+    writer.WriteU8(event.accepted[i] != 0 ? 1 : 0);
+  }
+  return writer.Take();
+}
+
+TEST(ServiceLogTest, CommitBatchEncodingMatchesReference) {
+  Rng rng(77);
+  data::SyntheticCifar gen;
+  const data::LabeledDataset dataset = gen.Generate(4, rng);
+  const Bytes key(32, 0x24);
+  crypto::HmacDrbg drbg(BytesOf("commit batch fixture"));
+  data::DataPackager signing("alice", key, 5, crypto::SchnorrGenerate(drbg));
+  data::DataPackager unsigned_packager("bob", key, 6);
+
+  persist::CommitBatchEvent empty;
+  empty.seq = 0;
+
+  persist::CommitBatchEvent mixed;
+  mixed.seq = 0x0102030405060708ULL;
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    mixed.records.push_back(
+        signing.Pack(dataset.images[i], dataset.labels[i]));
+  }
+  mixed.records.push_back(
+      unsigned_packager.Pack(dataset.images[0], dataset.labels[0]));
+  ASSERT_TRUE(mixed.records.back().signature.empty());
+  mixed.records[1].ciphertext[0] ^= 0x80;  // a record auth rejected
+  mixed.accepted = {1, 0, 7, 1, 1};        // nonzero flags encode as 1
+
+  for (const persist::CommitBatchEvent* event : {&empty, &mixed}) {
+    const Bytes reference = ReferenceCommitBatch(*event);
+    const Bytes encoded = persist::EncodeCommitBatch(*event);
+    ASSERT_EQ(encoded.size(), reference.size());
+    EXPECT_EQ(0, std::memcmp(encoded.data(), reference.data(),
+                             reference.size()));
+  }
 }
 
 TEST(ServiceLogTest, MalformedEventInValidFrameIsCorruption) {

@@ -5,6 +5,7 @@
 // error paths.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -144,6 +145,67 @@ TEST(ServiceIngestTest, BatchedTransitionsAmortizeEcalls) {
 
   // The acceptance bar: >= 4x fewer transitions per uploaded record.
   EXPECT_GE(sync_ecalls, 4 * async_ecalls);
+}
+
+TEST(ServiceIngestTest, HostileInstanceHeaderRejectedAndIngestContinues) {
+  // A registered participant seals and signs records whose instance
+  // headers declare far more floats than they carry (65536^3 would be
+  // a petabyte).  Authentication must reject them like any malformed
+  // record; an exception out of the ingest pump would leave the batch's
+  // commit ticket unfilled and stall every later submission.
+  core::TrainingServer server;
+  data::LabeledDataset hostile_data;
+  for (const nn::Shape shape : {nn::Shape{65536, 65536, 65536},
+                                nn::Shape{1024, 1024, 64}}) {
+    nn::Image image;
+    image.shape = shape;  // no pixels: the sealed float count is 0
+    hostile_data.Append(std::move(image), 3);
+  }
+  core::Participant mallory("mallory", hostile_data, 611);
+  core::Participant alice("alice", TinyCifar(8, 33), 612);
+  mallory.Provision(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+
+  ServiceConfig config;
+  config.ingest_batch = 4;
+  Service service(server, config);
+  const Result<SessionId> bad_session = service.OpenUploadSession("mallory");
+  const Result<SessionId> good_session = service.OpenUploadSession("alice");
+  ASSERT_TRUE(bad_session.ok());
+  ASSERT_TRUE(good_session.ok());
+  auto bad = service.SubmitUpload(bad_session.value(), mallory.PackRecords());
+  auto good = service.SubmitUpload(good_session.value(), alice.PackRecords());
+  // Bounded waits: a stalled ticket fails the test instead of hanging it.
+  ASSERT_EQ(bad.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  ASSERT_EQ(good.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+
+  const Result<UploadReceipt> bad_receipt = bad.get();
+  ASSERT_TRUE(bad_receipt.ok()) << bad_receipt.error().message;
+  EXPECT_EQ(bad_receipt.value().submitted, 2U);
+  EXPECT_EQ(bad_receipt.value().accepted, 0U);
+  EXPECT_EQ(bad_receipt.value().rejected, 2U);
+  const Result<UploadReceipt> good_receipt = good.get();
+  ASSERT_TRUE(good_receipt.ok()) << good_receipt.error().message;
+  EXPECT_EQ(good_receipt.value().submitted, 8U);
+  EXPECT_EQ(good_receipt.value().accepted, 8U);
+  EXPECT_EQ(good_receipt.value().rejected, 0U);
+
+  // The Status view (phase, degraded, server tallies) agrees with the
+  // receipts and with the per-session stats.
+  EXPECT_EQ(service.phase(), Phase::kIngest);
+  EXPECT_FALSE(service.degraded());
+  EXPECT_EQ(server.accepted_records(), 8U);
+  EXPECT_EQ(server.rejected_records(), 2U);
+  const Result<SessionStats> bad_stats =
+      service.CloseUploadSession(bad_session.value());
+  const Result<SessionStats> good_stats =
+      service.CloseUploadSession(good_session.value());
+  ASSERT_TRUE(bad_stats.ok());
+  ASSERT_TRUE(good_stats.ok());
+  EXPECT_EQ(bad_stats.value().accepted + bad_stats.value().rejected, 2U);
+  EXPECT_EQ(good_stats.value().accepted, 8U);
 }
 
 TEST(ServiceIngestTest, UnprovisionedParticipantGetsTypedError) {

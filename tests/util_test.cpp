@@ -3,7 +3,10 @@
 // assessment/linkage layers depend on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstring>
+#include <iterator>
 #include <cmath>
 #include <numeric>
 #include <thread>
@@ -172,6 +175,60 @@ TEST(SerialTest, TruncatedBytesLengthThrows) {
   w.WriteU32(1000);  // claims 1000 bytes, provides none
   ByteReader r(w.data());
   EXPECT_THROW((void)r.ReadBytes(), Error);
+}
+
+TEST(SerialTest, F32VectorBytesMatchPerElementFormula) {
+  // One 28x28x3 image worth of floats, seeded with the bit patterns a
+  // bulk copy must carry unchanged: NaN payloads (quiet and
+  // signalling, both signs), -0.0, infinities and denormals.
+  std::vector<float> v(2352);
+  Rng rng(91);
+  for (float& x : v) x = rng.UniformFloat() * 2.0F - 1.0F;
+  const std::uint32_t patterns[] = {
+      0x7fc00000U, 0x7fc00001U, 0xffc12345U, 0x7f800001U, 0xff8abcdeU,
+      0x80000000U, 0x00000000U, 0x7f800000U, 0xff800000U, 0x00000001U,
+      0x807fffffU, 0x00400000U, 0x80000001U, 0x7f7fffffU};
+  for (std::size_t i = 0; i < std::size(patterns); ++i) {
+    v[i * 167 + 3] = std::bit_cast<float>(patterns[i]);
+  }
+  v.back() = std::bit_cast<float>(0x7fffffffU);
+
+  // Reference: the u32 count, then WriteF32 per element (each float's
+  // bit pattern as a little-endian u32).
+  ByteWriter reference;
+  reference.WriteU32(static_cast<std::uint32_t>(v.size()));
+  for (const float x : v) reference.WriteF32(x);
+
+  ByteWriter bulk;
+  bulk.WriteU8(0x5a);  // an unaligned start
+  bulk.WriteF32Vector(v);
+  const Bytes& got = bulk.data();
+  ASSERT_EQ(got.size(), 1 + reference.data().size());
+  EXPECT_EQ(0, std::memcmp(got.data() + 1, reference.data().data(),
+                           reference.data().size()));
+
+  ByteReader reader(got);
+  EXPECT_EQ(reader.ReadU8(), 0x5a);
+  const std::vector<float> back = reader.ReadF32Vector();
+  EXPECT_TRUE(reader.AtEnd());
+  ASSERT_EQ(back.size(), v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
+              std::bit_cast<std::uint32_t>(v[i]))
+        << "element " << i;
+  }
+
+  // Empty vectors are just the count.
+  ByteWriter empty;
+  empty.WriteF32Vector({});
+  EXPECT_EQ(empty.data(), (Bytes{0, 0, 0, 0}));
+  ByteReader empty_reader(empty.data());
+  EXPECT_TRUE(empty_reader.ReadF32Vector().empty());
+  EXPECT_TRUE(empty_reader.AtEnd());
+
+  // One byte short of the declared count is truncation, not a copy.
+  ByteReader truncated(BytesView(got.data() + 1, got.size() - 2));
+  EXPECT_THROW((void)truncated.ReadF32Vector(), Error);
 }
 
 TEST(MathxTest, SoftmaxSumsToOne) {
