@@ -112,11 +112,10 @@ inline std::string ExtractFlagValue(int& argc, char** argv,
   return {};
 }
 
-/// Writes `rows` to `path` as a JSON array (the BENCH_micro.json
-/// perf-trajectory format).  Returns false if the file cannot be
-/// opened.
 /// Host provenance for a bench JSON's informational "host" row: online
-/// cores, CPU model and build type (set per bench target by CMake).
+/// cores, build type (set per bench target by CMake), the highest x86-64
+/// ISA level the CPU supports (the level whose GEMM tile clone the
+/// loader picks) and the CPU model.
 inline std::string HostSummary() {
   std::string cpu = "unknown";
   std::ifstream cpuinfo("/proc/cpuinfo");
@@ -132,10 +131,20 @@ inline std::string HostSummary() {
 #else
   const char* build = "unknown";
 #endif
+  const char* level = "unknown";
+#if defined(__GNUC__) && defined(__x86_64__)
+  __builtin_cpu_init();
+  level = __builtin_cpu_supports("x86-64-v4")   ? "x86-64-v4"
+          : __builtin_cpu_supports("x86-64-v3") ? "x86-64-v3"
+                                                : "x86-64";
+#endif
   return "nproc=" + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
-         " build=" + build + " cpu=" + cpu;
+         " build=" + build + " isa_level=" + level + " cpu=" + cpu;
 }
 
+/// Writes `rows` to `path` as a JSON array (the BENCH_micro.json
+/// perf-trajectory format).  Returns false if the file cannot be
+/// opened.
 inline bool WriteBenchJson(const std::string& path,
                            const std::vector<JsonBenchRow>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");

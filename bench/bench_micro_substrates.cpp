@@ -332,9 +332,12 @@ void BM_ConvGemm(benchmark::State& state, nn::KernelProfile profile,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(m * wide_n * k));
 }
+// The fast_b1 rows feed ratio gates in tools/check_bench_scaling.py,
+// which read the best of their repetitions (the least disturbed run).
 #define CALTRAIN_CONV_GEMM_BENCH(layer, m, n, k)                            \
   BENCHMARK_CAPTURE(BM_ConvGemm, layer##_fast_b1, nn::KernelProfile::kFast, \
-                    m, n, k, 1);                                            \
+                    m, n, k, 1)                                             \
+      ->Repetitions(5);                                                     \
   BENCHMARK_CAPTURE(BM_ConvGemm, layer##_fast_b8, nn::KernelProfile::kFast, \
                     m, n, k, 8);                                            \
   BENCHMARK_CAPTURE(BM_ConvGemm, layer##_precise_b1,                        \
@@ -352,13 +355,19 @@ CALTRAIN_CONV_GEMM_BENCH(s16_L2_conv8_3x3, 8, 784, 72);
 CALTRAIN_CONV_GEMM_BENCH(s16_L4_conv4_3x3, 4, 196, 72);
 CALTRAIN_CONV_GEMM_BENCH(s16_L6_conv8_3x3, 8, 49, 36);
 CALTRAIN_CONV_GEMM_BENCH(s16_L7_conv10_1x1, 10, 49, 8);
+// Either side of the direct small-filter kernel's 16-filter bound:
+// Table1Spec(8) (16 filters, direct) and Table1Spec(4) (32, tiled core).
+CALTRAIN_CONV_GEMM_BENCH(s8_L2_conv16_3x3, 16, 784, 144);
+CALTRAIN_CONV_GEMM_BENCH(s8_L6_conv16_3x3, 16, 49, 72);
+CALTRAIN_CONV_GEMM_BENCH(s4_L1_conv32_3x3, 32, 784, 27);
 #undef CALTRAIN_CONV_GEMM_BENCH
 
 // One whole ConvLayer::Forward (im2col + GEMM + epilogue) at batch 1,
 // single thread, Fast profile: the per-layer cost of a single-probe
 // forward.  BM_ConvGemm feeds a pre-lowered buffer, so the gap between
 // the two rows of a layer is what the lowering costs
-// (tools/check_bench_scaling.py gates it on the 28x28 layers).
+// (tools/check_bench_scaling.py gates it on the 28x28 layers, best of
+// each row's repetitions).
 void BM_ConvForward(benchmark::State& state, nn::Shape in_shape, int filters,
                     int ksize, nn::Activation activation) {
   util::ScopedThreads guard(1);
@@ -384,15 +393,20 @@ void BM_ConvForward(benchmark::State& state, nn::Shape in_shape, int filters,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK_CAPTURE(BM_ConvForward, s16_L1_conv8_3x3_b1, nn::Shape{28, 28, 3},
-                  8, 3, nn::Activation::kLeakyRelu);
+                  8, 3, nn::Activation::kLeakyRelu)
+    ->Repetitions(5);
 BENCHMARK_CAPTURE(BM_ConvForward, s16_L2_conv8_3x3_b1, nn::Shape{28, 28, 8},
-                  8, 3, nn::Activation::kLeakyRelu);
+                  8, 3, nn::Activation::kLeakyRelu)
+    ->Repetitions(5);
 BENCHMARK_CAPTURE(BM_ConvForward, s16_L4_conv4_3x3_b1, nn::Shape{14, 14, 8},
-                  4, 3, nn::Activation::kLeakyRelu);
+                  4, 3, nn::Activation::kLeakyRelu)
+    ->Repetitions(5);
 BENCHMARK_CAPTURE(BM_ConvForward, s16_L6_conv8_3x3_b1, nn::Shape{7, 7, 4},
-                  8, 3, nn::Activation::kLeakyRelu);
+                  8, 3, nn::Activation::kLeakyRelu)
+    ->Repetitions(5);
 BENCHMARK_CAPTURE(BM_ConvForward, s16_L7_conv10_1x1_b1, nn::Shape{7, 7, 8},
-                  10, 1, nn::Activation::kLinear);
+                  10, 1, nn::Activation::kLinear)
+    ->Repetitions(5);
 
 // The 2x2/2 max-pool after Table1Spec(16)'s second conv, batch 1.
 void BM_MaxPoolForward(benchmark::State& state) {
@@ -412,6 +426,28 @@ void BM_MaxPoolForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MaxPoolForward)->Name("BM_MaxPoolForward/28x28x8");
+
+// The whole single-probe forward the investigate journey times as
+// nn.forward: EmbeddingAtLayer of Table1Spec(16) at the penultimate
+// layer, batch 1, one thread, into a reused workspace.
+void BM_EmbeddingForward(benchmark::State& state) {
+  util::ScopedThreads guard(1);
+  Rng rng(7);
+  const nn::Network net = nn::BuildNetwork(nn::Table1Spec(16), rng);
+  const int layer = net.PenultimateIndex();
+  nn::Image probe(nn::Shape{28, 28, 3});
+  for (float& p : probe.pixels) p = rng.UniformFloat();
+  nn::LayerWorkspace ws(net);
+  for (auto _ : state) {
+    std::vector<float> embedding =
+        net.EmbeddingAtLayer(probe, layer, nn::KernelProfile::kFast, ws);
+    benchmark::DoNotOptimize(embedding.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["threads"] = 1;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EmbeddingForward)->Name("BM_EmbeddingForward/s16_b1");
 
 // Serial-vs-parallel comparison for the row-blocked parallel GEMM
 // runtime (util::ParallelFor over contiguous row blocks).  threads=1 is
@@ -599,7 +635,11 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
     for (const Run& run : reports) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       bench::JsonBenchRow row;
-      row.op = run.benchmark_name();
+      // A repeated benchmark writes one row per repetition under its
+      // plain name (no "/repeats:N"), so gates can take the best run.
+      benchmark::BenchmarkName name = run.run_name;
+      name.repetitions.clear();
+      row.op = name.str();
       row.ns_per_op =
           run.iterations > 0
               ? run.real_accumulated_time / static_cast<double>(run.iterations)

@@ -336,6 +336,15 @@ TrainReport TrainingServer::Train(const nn::NetworkSpec& spec,
           if (options.augment) {
             image = nn::Augment(image, options.augment_options, rng);
           }
+          // Ingest does not know the model's input shape: check it
+          // before the pixels are copied into the batch.
+          if (image.shape != model_->spec().input) {
+            ThrowError(ErrorKind::kInvalidArgument,
+                       "record from participant '" + record.participant_id +
+                           "' has shape " + image.shape.ToString() +
+                           ", model input is " +
+                           model_->spec().input.ToString());
+          }
           if (batch.n == 0) {
             batch = nn::Batch(static_cast<int>(count), image.shape);
           }

@@ -1,5 +1,7 @@
 #include "data/packaging.hpp"
 
+#include <limits>
+
 #include "util/error.hpp"
 #include "util/serial.hpp"
 
@@ -32,16 +34,23 @@ constexpr std::size_t kInstanceHeaderBytes = 5 * 4;
 std::optional<InstanceHeader> ParseInstanceHeader(BytesView blob) {
   if (blob.size() < kInstanceHeaderBytes) return std::nullopt;
   ByteReader reader(blob.first(kInstanceHeaderBytes));
+  const std::uint32_t w = reader.ReadU32();
+  const std::uint32_t h = reader.ReadU32();
+  const std::uint32_t c = reader.ReadU32();
   InstanceHeader header;
-  header.shape.w = static_cast<int>(reader.ReadU32());
-  header.shape.h = static_cast<int>(reader.ReadU32());
-  header.shape.c = static_cast<int>(reader.ReadU32());
   header.label = static_cast<int>(reader.ReadU32());
   const std::size_t count = reader.ReadU32();
-  if (count != header.shape.Flat() ||
+  // Each dimension must fit an int and w*h*c must not wrap, or a
+  // hostile header (w = h = 2^32-1, or 2^22 cubed) matches a tiny count.
+  constexpr std::uint32_t kMaxDim = std::numeric_limits<int>::max();
+  std::size_t flat = 0;  // w*h < 2^62: only the second product can wrap
+  if (w > kMaxDim || h > kMaxDim || c > kMaxDim ||
+      __builtin_mul_overflow(std::size_t{w} * h, c, &flat) || count != flat ||
       blob.size() - kInstanceHeaderBytes != count * sizeof(float)) {
     return std::nullopt;
   }
+  header.shape = nn::Shape{static_cast<int>(w), static_cast<int>(h),
+                           static_cast<int>(c)};
   return header;
 }
 

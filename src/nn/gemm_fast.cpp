@@ -3,9 +3,9 @@
 //
 // Public Fast entry points gate on shape: non-trivial GEMMs run the
 // cache-blocked register-tiled core (gemm_tile.inc), tiny shapes run
-// the naive row-blocked bodies (gemm_body.inc).  The gate depends only
-// on the shape, so the thread-count bit-identity contract holds on
-// either path.
+// the naive row-blocked bodies (gemm_body.inc), small-filter conv
+// forwards a pack-free direct kernel.  The gates depend only on the
+// shape, so the thread-count bit-identity contract holds on every path.
 #include "nn/kernels.hpp"
 
 #define CALTRAIN_GEMM_SUFFIX Fast
@@ -77,6 +77,11 @@ void ConvGemmBatchedFast(std::size_t m, std::size_t n, std::size_t k,
                          const float* col_wide, const float* bias,
                          float negative_slope, float* out) noexcept {
   const std::size_t n_total = static_cast<std::size_t>(batch) * n;
+  if (tiled::UseTiled(m, n_total, k) && m <= tiled::kDirectMaxM &&
+      k <= tiled::KC && n >= tiled::NR) {
+    return tiled::DirectConvForward(m, n, k, batch, weights, col_wide, bias,
+                                    negative_slope, out);
+  }
   if (tiled::UseTiled(m, n_total, k)) {
     GemmEpilogue epi;
     epi.accumulate = false;

@@ -378,6 +378,32 @@ TEST(HubAggregatorTest, MergedModelLearns) {
 }
 
 
+TEST(ServerTest, MixedShapeRecordFailsTrainWithoutOverflow) {
+  // Ingest accepts any well-signed record; a 64x64x3 image among
+  // 28x28x3 ones must fail the round with a typed error naming its
+  // source instead of being copied into a batch slot sized for 28x28x3.
+  TrainingServer server;
+  Participant alice("alice", IntensityDataset(8, 320), 321);
+  data::LabeledDataset big;
+  big.Append(nn::Image(nn::Shape{64, 64, 3}), 1);
+  Participant mallory("mallory", std::move(big), 322);
+  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  (void)mallory.ProvisionAndUpload(server, server.training_measurement());
+
+  PartitionedTrainOptions options;
+  options.epochs = 1;
+  options.batch_size = 16;  // one batch holds every record
+  options.augment = false;
+  try {
+    (void)server.Train(nn::Table1Spec(32, 2), options);
+    FAIL() << "a mixed-shape round must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
+    EXPECT_NE(std::string(e.what()).find("mallory"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServerEdgeTest, ReleaseBeforeTrainingRejected) {
   TrainingServer server;
   Participant alice("alice", IntensityDataset(8, 300), 301);

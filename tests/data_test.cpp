@@ -251,6 +251,28 @@ TEST(PackagingTest, HugeInstanceHeaderRejectedWithoutAllocating) {
   EXPECT_EQ(BatchAccepts(record, key), 0U);
 }
 
+TEST(PackagingTest, WrappingInstanceDimensionsRejected) {
+  // Dimensions that do not fit an int, or whose product wraps size_t,
+  // must not pass the count == w*h*c check with a tiny payload: as
+  // size_t, (-1 as int)^2 * 1 wraps to 1 and (2^22)^3 wraps to 0.
+  const Bytes key(32, 0x42);
+  const struct {
+    nn::Shape shape;
+    std::uint32_t count;
+  } hostile[] = {{{-1, -1, 1}, 1},            // w = h = 0xffffffff
+                 {{1 << 22, 1 << 22, 1 << 22}, 0},
+                 {{1 << 22, 1 << 22, 1 << 22}, 4},
+                 {{-1, 1, 1}, 1}};
+  for (const auto& h : hostile) {
+    SCOPED_TRACE(h.shape.ToString() + " count " + std::to_string(h.count));
+    const Bytes blob = InstanceBlob(h.shape, 3, h.count, h.count * 4U);
+    EXPECT_THROW((void)DeserializeTrainingInstance(blob), Error);
+    const EncryptedRecord record = SealInstanceBlob("mallory", 3, blob, key, 9);
+    EXPECT_FALSE(OpenRecord(record, key).has_value());
+    EXPECT_EQ(BatchAccepts(record, key), 0U);
+  }
+}
+
 TEST(PackagingTest, BatchOpenAcceptsExactlyWhatOpenRecordAccepts) {
   const Bytes key(32, 0x42);
   nn::Image image(nn::Shape{2, 2, 1});

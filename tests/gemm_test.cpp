@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "nn/kernels.hpp"
@@ -286,6 +287,92 @@ TEST(GemmDeterminismTest, ConvGemmBatchedBitIdenticalAcrossThreadCounts) {
                         0.1F, parallel.data());
     ASSERT_EQ(0, std::memcmp(serial.data(), parallel.data(),
                              serial.size() * sizeof(float)))
+        << "threads=" << threads;
+  }
+}
+
+/// Reference for the batched conv forward: one wide GemmExFast over
+/// the whole lowering (the tiled core on every shape the small-filter
+/// path serves), scattered into the sample planes.
+std::vector<float> WideConvReference(std::size_t m, std::size_t n,
+                                     std::size_t k, int batch,
+                                     const std::vector<float>& w,
+                                     const std::vector<float>& col,
+                                     const std::vector<float>& bias) {
+  const std::size_t wn = static_cast<std::size_t>(batch) * n;
+  std::vector<float> wide(m * wn);
+  GemmEpilogue epi;
+  epi.accumulate = false;
+  epi.row_bias = bias.data();
+  epi.negative_slope = 0.1F;
+  GemmExFast(m, wn, k, w.data(), col.data(), wide.data(), epi);
+  std::vector<float> planes(wide.size());
+  for (int s = 0; s < batch; ++s) {
+    for (std::size_t i = 0; i < m; ++i) {
+      std::memcpy(&planes[(static_cast<std::size_t>(s) * m + i) * n],
+                  &wide[i * wn + static_cast<std::size_t>(s) * n],
+                  n * sizeof(float));
+    }
+  }
+  return planes;
+}
+
+TEST(GemmDeterminismTest, SmallFilterConvMatchesTiledCoreBitForBit) {
+  // Small filter counts skip both packs; every output element must keep
+  // the tiled core's bits, at every thread count.  m=8, n=784, k=72,
+  // batch=8 is above the 2^21-MAC pool gate, so its items fan out.
+  // n=9 (under one tile per sample) stays on the wide tiled core; n=271
+  // ends in a 143-column item with an overlapping last tile.
+  for (std::size_t m : {1, 3, 4, 5, 8, 10, 16}) {
+    for (std::size_t n : {9, 16, 17, 49, 196, 271, 784}) {
+      for (std::size_t k : {8, 27, 72, 256}) {
+        for (int batch : {1, 3, 8}) {
+          Rng rng(m * 1000003 + n * 1009 + k * 31 + batch);
+          std::vector<float> w(m * k), col(k * batch * n), bias(m);
+          FillGaussian(w, rng);
+          FillGaussian(col, rng);
+          FillGaussian(bias, rng);
+          const std::vector<float> expected =
+              WideConvReference(m, n, k, batch, w, col, bias);
+          for (unsigned threads : {1U, 4U}) {
+            util::ScopedThreads scoped(threads);
+            std::vector<float> got(expected.size(), -7.0F);
+            ConvGemmBatchedFast(m, n, k, batch, w.data(), col.data(),
+                                bias.data(), 0.1F, got.data());
+            ASSERT_EQ(0, std::memcmp(got.data(), expected.data(),
+                                     got.size() * sizeof(float)))
+                << "m=" << m << " n=" << n << " k=" << k
+                << " batch=" << batch << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmDeterminismTest, SmallFilterConvKeepsSpecialValuesBitForBit) {
+  constexpr std::size_t m = 8, n = 49, k = 27;
+  constexpr int batch = 3;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), -0.0F,
+                            inf, -inf};
+  Rng rng(4242);
+  std::vector<float> w(m * k), col(k * batch * n), bias(m);
+  FillGaussian(w, rng);
+  FillGaussian(col, rng);
+  FillGaussian(bias, rng);
+  for (std::size_t i = 0; i < col.size(); i += 37) col[i] = specials[i % 4];
+  for (std::size_t i = 5; i < w.size(); i += 41) w[i] = specials[i % 4];
+  bias[2] = -0.0F;
+  const std::vector<float> expected =
+      WideConvReference(m, n, k, batch, w, col, bias);
+  for (unsigned threads : {1U, 4U}) {
+    util::ScopedThreads scoped(threads);
+    std::vector<float> got(expected.size(), -7.0F);
+    ConvGemmBatchedFast(m, n, k, batch, w.data(), col.data(), bias.data(),
+                        0.1F, got.data());
+    ASSERT_EQ(0, std::memcmp(got.data(), expected.data(),
+                             got.size() * sizeof(float)))
         << "threads=" << threads;
   }
 }
