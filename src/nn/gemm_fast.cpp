@@ -3,9 +3,10 @@
 //
 // Public Fast entry points gate on shape: non-trivial GEMMs run the
 // cache-blocked register-tiled core (gemm_tile.inc), tiny shapes run
-// the naive row-blocked bodies (gemm_body.inc), small-filter conv
-// forwards a pack-free direct kernel.  The gates depend only on the
-// shape, so the thread-count bit-identity contract holds on every path.
+// the naive row-blocked bodies (gemm_body.inc), single-sample
+// small-filter conv forwards a pack-free direct kernel.  The gates
+// depend only on the shape, so the thread-count bit-identity contract
+// holds on every path.
 #include "nn/kernels.hpp"
 
 #define CALTRAIN_GEMM_SUFFIX Fast
@@ -77,9 +78,9 @@ void ConvGemmBatchedFast(std::size_t m, std::size_t n, std::size_t k,
                          const float* col_wide, const float* bias,
                          float negative_slope, float* out) noexcept {
   const std::size_t n_total = static_cast<std::size_t>(batch) * n;
-  if (tiled::UseTiled(m, n_total, k) && m <= tiled::kDirectMaxM &&
-      k <= tiled::KC && n >= tiled::NR) {
-    return tiled::DirectConvForward(m, n, k, batch, weights, col_wide, bias,
+  if (batch == 1 && tiled::UseTiled(m, n, k) && m <= tiled::kDirectMaxM &&
+      k <= tiled::KC) {
+    return tiled::DirectConvForward(m, n, k, weights, col_wide, bias,
                                     negative_slope, out);
   }
   if (tiled::UseTiled(m, n_total, k)) {

@@ -17,9 +17,10 @@
 // The tiled block plan (KC/MC/NC/MR/NR) is fixed and independent of
 // the thread count, and parallel dispatch only ever splits disjoint
 // output tiles, so Fast results stay bit-identical at any thread count
-// (the PR 2 determinism contract).  Small-filter conv forwards (m <= 16,
-// k <= KC, >= 16 columns per sample) run a pack-free direct kernel that
-// shares the tiled core's FMA loop and epilogue, hence its bits.
+// (the PR 2 determinism contract).  Single-sample small-filter conv
+// forwards (m <= 16, k <= KC, >= 16 columns) run a pack-free direct
+// kernel that shares the tiled core's FMA loop and epilogue, hence its
+// bits.
 //
 // Conv lowering (kernels_common.cpp) is pure data movement: contiguous
 // copies and += runs, bit-identical to the per-element formula.
@@ -98,8 +99,8 @@ void GemmTransBExPrecise(std::size_t m, std::size_t n, std::size_t k,
 /// columns [s*n, (s+1)*n), out is `batch` consecutive sample planes of
 /// [m x n] each (the network's batch layout), and for every sample
 ///   out_s = leaky(weights[m x k] * col_s + bias)   (overwrite).
-/// The Fast build runs a pack-free per-sample kernel for m <= 16, else
-/// one wide tiled GEMM (same bits); the Precise build runs the exact
+/// The Fast build runs a pack-free kernel for one sample with m <= 16,
+/// else one wide tiled GEMM (same bits); the Precise build runs the exact
 /// per-sample serial loop (bias-seeded AXPY, then activation) so the
 /// in-enclave arithmetic order is unchanged from the unbatched path.
 void ConvGemmBatchedFast(std::size_t m, std::size_t n, std::size_t k,

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "nn/tensor.hpp"
@@ -67,6 +68,29 @@ class GradientAccumulator {
   std::vector<LayerGrads> layers_;
 };
 
+/// Allocator of 64-byte (cache-line) aligned blocks.  The Fast direct
+/// conv kernel loads 16-float rows of the lowering in place, so a
+/// lowering that starts off a line boundary splits every load in two:
+/// the 28x28 layers' GEMM ran 9-35% slower at a 16-48 byte offset,
+/// and which offset malloc returned depended on the heap's history.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) noexcept {}
+  T* allocate(std::size_t count) {
+    return static_cast<T*>(::operator new(count * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t /*count*/) noexcept {
+    ::operator delete(p, kAlign);
+  }
+  friend bool operator==(CacheLineAllocator, CacheLineAllocator) noexcept {
+    return true;
+  }
+};
+
 /// Per-pass mutable scratch of one layer.  Which fields a layer uses
 /// is the layer's business; unused fields stay empty.  Conv layers
 /// size their three float buffers for a whole lowering block (up to
@@ -74,7 +98,8 @@ class GradientAccumulator {
 /// sized once per batch shape, never zero-filled (every element is
 /// overwritten before it is read).
 struct LayerScratch {
-  std::vector<float> col;            ///< conv: wide im2col [k x block*n]
+  /// conv: wide im2col [k x block*n], cache-line aligned
+  std::vector<float, CacheLineAllocator<float>> col;
   std::vector<float> delta;          ///< conv: wide act-grad [m x block*n];
                                      ///< connected: activation-grad copy
   std::vector<float> col_delta;      ///< conv: wide input grad [k x block*n]

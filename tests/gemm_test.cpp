@@ -318,11 +318,12 @@ std::vector<float> WideConvReference(std::size_t m, std::size_t n,
 }
 
 TEST(GemmDeterminismTest, SmallFilterConvMatchesTiledCoreBitForBit) {
-  // Small filter counts skip both packs; every output element must keep
-  // the tiled core's bits, at every thread count.  m=8, n=784, k=72,
-  // batch=8 is above the 2^21-MAC pool gate, so its items fan out.
-  // n=9 (under one tile per sample) stays on the wide tiled core; n=271
-  // ends in a 143-column item with an overlapping last tile.
+  // Single-sample small-filter forwards skip both packs; every output
+  // element must keep the tiled core's bits, at every thread count.
+  // m=16, n=784, k=256, batch=1 is above the 2^21-MAC pool gate, so its
+  // column blocks fan out.  Batches of 3 and 8 and n=9 (under one tile)
+  // stay on the wide tiled core; n=271 ends in a 143-column block with
+  // an overlapping last tile.
   for (std::size_t m : {1, 3, 4, 5, 8, 10, 16}) {
     for (std::size_t n : {9, 16, 17, 49, 196, 271, 784}) {
       for (std::size_t k : {8, 27, 72, 256}) {
@@ -351,8 +352,9 @@ TEST(GemmDeterminismTest, SmallFilterConvMatchesTiledCoreBitForBit) {
 }
 
 TEST(GemmDeterminismTest, SmallFilterConvKeepsSpecialValuesBitForBit) {
-  constexpr std::size_t m = 8, n = 49, k = 27;
-  constexpr int batch = 3;
+  // One sample, on the direct kernel, with an overlapping last tile.
+  constexpr std::size_t m = 8, n = 196, k = 27;
+  constexpr int batch = 1;
   const float inf = std::numeric_limits<float>::infinity();
   const float specials[] = {std::numeric_limits<float>::quiet_NaN(), -0.0F,
                             inf, -inf};
