@@ -9,6 +9,8 @@
 // perf-trajectory format; see bench_common.hpp).
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+
 #include "bench_common.hpp"
 #include "core/partitioned.hpp"
 #include "crypto/aes.hpp"
@@ -268,10 +270,9 @@ void BM_GemmPrecise(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmPrecise)->Arg(64)->Arg(128);
 
-// The reduction kernel (weight-gradient GEMM): its inner dot product
-// only vectorizes under fast-math reassociation, so this pair shows the
-// actual in-enclave penalty mechanism (the plain AXPY GEMM above
-// vectorizes either way).
+// The reduction kernel (weight-gradient GEMM): fast-math may vectorize
+// each dot product along k; strict FP runs it in order and only
+// vectorizes across independent outputs.
 void BM_GemmTransBFast(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
@@ -306,10 +307,9 @@ BENCHMARK(BM_GemmTransBPrecise)->Arg(64)->Arg(128);
 // shapes at paper scale, single-thread, through the same
 // ConvGemmBatched entry the conv layer issues.  batch=1 is the
 // pre-batching per-sample lowering; batch=8 is the wide Fast-profile
-// block (kConvBatchBlock).  Fast runs the cache-blocked register-tiled
-// kernel, Precise the naive serial-order reference — the Fast/Precise
-// ratio at batch=1 is the tiled-vs-naive speedup the PR-3 acceptance
-// tracks, and SetItemsProcessed counts FLOPs so the reported
+// block (kConvBatchBlock).  Fast runs the fast-math register tiles,
+// Precise the strict-FP ones (the serial loops' bits, sample by
+// sample); SetItemsProcessed counts FLOPs so the reported
 // items_per_second is FLOP/s.
 void BM_ConvGemm(benchmark::State& state, nn::KernelProfile profile,
                  std::size_t m, std::size_t n, std::size_t k, int batch) {
@@ -361,13 +361,96 @@ CALTRAIN_CONV_GEMM_BENCH(s8_L2_conv16_3x3, 16, 784, 144);
 CALTRAIN_CONV_GEMM_BENCH(s8_L6_conv16_3x3, 16, 49, 72);
 CALTRAIN_CONV_GEMM_BENCH(s4_L1_conv32_3x3, 32, 784, 27);
 #undef CALTRAIN_CONV_GEMM_BENCH
+// One 4-sample training shard on the two 28x28 Table1Spec(16) layers
+// through the in-enclave profile: the front layers the `train` journey
+// runs with front_layers = 2.
+BENCHMARK_CAPTURE(BM_ConvGemm, s16_L1_conv8_3x3_precise_b4,
+                  nn::KernelProfile::kPrecise, 8, 784, 27, 4);
+BENCHMARK_CAPTURE(BM_ConvGemm, s16_L2_conv8_3x3_precise_b4,
+                  nn::KernelProfile::kPrecise, 8, 784, 72, 4);
+
+// The same shard's conv backward GEMMs, single-thread, through the
+// ConvGemmBackward entry: the weight gradients (dot form) plus the
+// column-space input gradient (AXPY form).  Items count the FLOPs of
+// both.
+void BM_ConvGemmBackward(benchmark::State& state, nn::KernelProfile profile,
+                         std::size_t m, std::size_t n, std::size_t k,
+                         int batch) {
+  util::ScopedThreads guard(1);
+  Rng rng(5);
+  const std::size_t wide_n = n * static_cast<std::size_t>(batch);
+  std::vector<float> w(m * k), delta(m * wide_n), col(k * wide_n),
+      weight_grads(m * k, 0.0F), col_delta(k * wide_n);
+  for (float& x : w) x = rng.Gaussian();
+  for (float& x : delta) x = rng.Gaussian();
+  for (float& x : col) x = rng.Gaussian();
+  for (auto _ : state) {
+    nn::ConvGemmBackward(profile, m, n, k, batch, w.data(), delta.data(),
+                         col.data(), weight_grads.data(), col_delta.data());
+    benchmark::DoNotOptimize(weight_grads.data());
+    benchmark::DoNotOptimize(col_delta.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["m"] = static_cast<double>(m);
+  state.counters["n"] = static_cast<double>(wide_n);
+  state.counters["k"] = static_cast<double>(k);
+  state.counters["threads"] = 1;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4 *
+                          static_cast<std::int64_t>(m * wide_n * k));
+}
+BENCHMARK_CAPTURE(BM_ConvGemmBackward, s16_L2_conv8_3x3_precise_b4,
+                  nn::KernelProfile::kPrecise, 8, 784, 72, 4);
+BENCHMARK_CAPTURE(BM_ConvGemmBackward, s16_L2_conv8_3x3_fast_b4,
+                  nn::KernelProfile::kFast, 8, 784, 72, 4);
+
+// The batch-1 lowering of a same-size 3x3 conv alone, against a memcpy
+// of as many bytes as it writes: tools/check_bench_scaling.py gates
+// their ratio on the two 28x28 Table1Spec(16) layers (best of each
+// row's repetitions), so the gate does not move with the GEMM.
+void BM_Im2Col(benchmark::State& state, nn::Shape in_shape, int ksize) {
+  util::ScopedThreads guard(1);
+  Rng rng(8);
+  std::vector<float> in(in_shape.Flat());
+  for (float& x : in) x = rng.Gaussian();
+  std::vector<float> col(static_cast<std::size_t>(in_shape.c) * ksize *
+                         ksize * in_shape.h * in_shape.w);
+  for (auto _ : state) {
+    nn::Im2ColBatch(in.data(), in.size(), 1, in_shape.c, in_shape.h,
+                    in_shape.w, ksize, 1, ksize / 2, col.data());
+    benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(col.size() *
+                                                    sizeof(float)));
+}
+
+void BM_Memcpy(benchmark::State& state, std::size_t floats) {
+  Rng rng(9);
+  std::vector<float> src(floats), dst(floats);
+  for (float& x : src) x = rng.Gaussian();
+  for (auto _ : state) {
+    std::memcpy(dst.data(), src.data(), floats * sizeof(float));
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(floats * sizeof(float)));
+}
+BENCHMARK_CAPTURE(BM_Im2Col, s16_L1_conv8_3x3_b1, nn::Shape{28, 28, 3}, 3)
+    ->Repetitions(5);
+BENCHMARK_CAPTURE(BM_Memcpy, s16_L1_conv8_3x3_b1, std::size_t{27 * 784})
+    ->Repetitions(5);
+BENCHMARK_CAPTURE(BM_Im2Col, s16_L2_conv8_3x3_b1, nn::Shape{28, 28, 8}, 3)
+    ->Repetitions(5);
+BENCHMARK_CAPTURE(BM_Memcpy, s16_L2_conv8_3x3_b1, std::size_t{72 * 784})
+    ->Repetitions(5);
 
 // One whole ConvLayer::Forward (im2col + GEMM + epilogue) at batch 1,
 // single thread, Fast profile: the per-layer cost of a single-probe
 // forward.  BM_ConvGemm feeds a pre-lowered buffer, so the gap between
-// the two rows of a layer is what the lowering costs
-// (tools/check_bench_scaling.py gates it on the 28x28 layers, best of
-// each row's repetitions).
+// the two rows of a layer is what the lowering costs (BM_Im2Col above
+// times the lowering alone).
 void BM_ConvForward(benchmark::State& state, nn::Shape in_shape, int filters,
                     int ksize, nn::Activation activation) {
   util::ScopedThreads guard(1);

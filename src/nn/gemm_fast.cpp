@@ -9,17 +9,7 @@
 // holds on every path.
 #include "nn/kernels.hpp"
 
-#define CALTRAIN_GEMM_SUFFIX Fast
-#define CALTRAIN_GEMM_PARALLEL 1
-// The tiled core uses GCC vector extensions and target_clones; on any
-// other front end the Fast profile falls back to the naive bodies
-// (gemm_body.inc then emits all public Fast symbols itself).
-#if defined(__GNUC__) || defined(__clang__)
-#define CALTRAIN_GEMM_TILED 1
-#endif
 #include "nn/gemm_body.inc"
-
-#ifdef CALTRAIN_GEMM_TILED
 #include "nn/gemm_tile.inc"
 
 namespace caltrain::nn {
@@ -116,5 +106,3 @@ void ConvGemmBackwardFast(std::size_t m, std::size_t n, std::size_t k,
 }
 
 }  // namespace caltrain::nn
-
-#endif  // CALTRAIN_GEMM_TILED

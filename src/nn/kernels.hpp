@@ -1,26 +1,27 @@
 // Compute kernels with two compiled variants.
 //
-// kFast is built with -O3 -ffast-math (reassociation lets the compiler
-// vectorize the reduction loops) and models the ML-accelerated path
-// available *outside* an SGX enclave.  kPrecise is built with plain -O3,
-// mirroring the paper's observation (Sec. VI-C) that -ffast-math-style
-// floating acceleration is ineffective for enclaved code.  Both compute
-// the same GEMM; the measured speed difference is what the Fig. 6
-// benchmark reports as in-enclave overhead.
+// kFast is built with -O3 -ffast-math and models the ML-accelerated
+// path available *outside* an SGX enclave.  kPrecise is built with -O3
+// -ffp-contract=off and no fast-math (strict IEEE float: no
+// reassociation, no contraction), mirroring the paper's observation
+// (Sec. VI-C) that -ffast-math-style floating acceleration is
+// ineffective for enclaved code.  Both compute the same GEMM; the
+// measured speed difference is what the Fig. 6 benchmark reports as
+// in-enclave overhead.
 //
-// Kernel architecture (PR 3): the Fast profile routes non-trivial
-// shapes through a cache-blocked, register-tiled micro-kernel
-// (gemm_tile.inc) — A/B packed into per-thread workspace panels, a
-// 6x16 register tile with zero-padded edges, runtime ISA dispatch via
-// target_clones — while the Precise profile keeps the exact
-// serial-order AXPY/dot loops (gemm_body.inc) for in-enclave fidelity.
-// The tiled block plan (KC/MC/NC/MR/NR) is fixed and independent of
-// the thread count, and parallel dispatch only ever splits disjoint
-// output tiles, so Fast results stay bit-identical at any thread count
-// (the PR 2 determinism contract).  Single-sample small-filter conv
-// forwards (m <= 16, k <= KC, >= 16 columns) run a pack-free direct
-// kernel that shares the tiled core's FMA loop and epilogue, hence its
-// bits.
+// Kernel architecture: the Fast profile routes non-trivial shapes
+// through a cache-blocked, register-tiled micro-kernel (gemm_tile.inc)
+// — A/B packed into per-thread workspace panels, a 6x16 register tile
+// with zero-padded edges, runtime ISA dispatch via target_clones.  The
+// Precise profile (gemm_precise.cpp) runs register tiles sized per ISA
+// tier, but every output keeps the operation chain of the serial loops,
+// so its bits are the same on every ISA, build and thread count.  The
+// tiled block plan (KC/MC/NC/MR/NR) is fixed and independent of the
+// thread count, and parallel dispatch only ever splits disjoint output
+// tiles, so Fast results stay bit-identical at any thread count (the
+// PR 2 determinism contract).  Single-sample small-filter conv forwards
+// (m <= 16, k <= KC, >= 16 columns) run a pack-free direct kernel that
+// shares the tiled core's FMA loop and epilogue, hence its bits.
 //
 // Conv lowering (kernels_common.cpp) is pure data movement: contiguous
 // copies and += runs, bit-identical to the per-element formula.
@@ -100,9 +101,8 @@ void GemmTransBExPrecise(std::size_t m, std::size_t n, std::size_t k,
 /// [m x n] each (the network's batch layout), and for every sample
 ///   out_s = leaky(weights[m x k] * col_s + bias)   (overwrite).
 /// The Fast build runs a pack-free kernel for one sample with m <= 16,
-/// else one wide tiled GEMM (same bits); the Precise build runs the exact
-/// per-sample serial loop (bias-seeded AXPY, then activation) so the
-/// in-enclave arithmetic order is unchanged from the unbatched path.
+/// else one wide tiled GEMM (same bits); the Precise build runs sample
+/// by sample with the chain of the unbatched serial loop.
 void ConvGemmBatchedFast(std::size_t m, std::size_t n, std::size_t k,
                          int batch, const float* weights,
                          const float* col_wide, const float* bias,
@@ -119,8 +119,7 @@ void ConvGemmBatchedPrecise(std::size_t m, std::size_t n, std::size_t k,
 ///   col_delta[k x batch*n] = weights^T * delta_wide    (overwrite;
 ///                            skipped when col_delta == nullptr)
 /// The Fast build issues two wide tiled GEMMs; the Precise build runs
-/// the exact per-sample serial loops of the unbatched lowering
-/// (bit-identical to the seed arithmetic, sample by sample).
+/// both sample by sample with the chains of the unbatched serial loops.
 void ConvGemmBackwardFast(std::size_t m, std::size_t n, std::size_t k,
                           int batch, const float* weights,
                           const float* delta_wide, const float* col_wide,
@@ -131,34 +130,17 @@ void ConvGemmBackwardPrecise(std::size_t m, std::size_t n, std::size_t k,
                              float* weight_grads, float* col_delta) noexcept;
 
 /// Dispatch helpers.
-inline void Gemm(KernelProfile p, std::size_t m, std::size_t n, std::size_t k,
-                 const float* a, const float* b, float* c) noexcept {
-  (p == KernelProfile::kFast) ? GemmFast(m, n, k, a, b, c)
-                              : GemmPrecise(m, n, k, a, b, c);
-}
 inline void GemmTransA(KernelProfile p, std::size_t m, std::size_t n,
                        std::size_t k, const float* a, const float* b,
                        float* c) noexcept {
   (p == KernelProfile::kFast) ? GemmTransAFast(m, n, k, a, b, c)
                               : GemmTransAPrecise(m, n, k, a, b, c);
 }
-inline void GemmTransB(KernelProfile p, std::size_t m, std::size_t n,
-                       std::size_t k, const float* a, const float* b,
-                       float* c) noexcept {
-  (p == KernelProfile::kFast) ? GemmTransBFast(m, n, k, a, b, c)
-                              : GemmTransBPrecise(m, n, k, a, b, c);
-}
 inline void GemmEx(KernelProfile p, std::size_t m, std::size_t n,
                    std::size_t k, const float* a, const float* b, float* c,
                    const GemmEpilogue& epi) noexcept {
   (p == KernelProfile::kFast) ? GemmExFast(m, n, k, a, b, c, epi)
                               : GemmExPrecise(m, n, k, a, b, c, epi);
-}
-inline void GemmTransAEx(KernelProfile p, std::size_t m, std::size_t n,
-                         std::size_t k, const float* a, const float* b,
-                         float* c, const GemmEpilogue& epi) noexcept {
-  (p == KernelProfile::kFast) ? GemmTransAExFast(m, n, k, a, b, c, epi)
-                              : GemmTransAExPrecise(m, n, k, a, b, c, epi);
 }
 inline void GemmTransBEx(KernelProfile p, std::size_t m, std::size_t n,
                          std::size_t k, const float* a, const float* b,

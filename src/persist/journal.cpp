@@ -299,13 +299,17 @@ Journal::~Journal() {
 }
 
 std::uint64_t Journal::Append(BytesView payload) {
+  return Append(payload, Crc32c(payload));
+}
+
+std::uint64_t Journal::Append(BytesView payload, std::uint32_t crc) {
   CALTRAIN_REQUIRE(payload.size() <= kMaxFrameBytes,
                    "journal frame exceeds the 1 GiB bound");
-  // The CRC (the only O(payload) compute) runs outside the lock, so
-  // concurrent appenders only serialize on the write(2) itself.
+  // The CRC, the only O(payload) compute, arrives computed outside this
+  // lock, so concurrent appenders only serialize on the write(2) itself.
   std::array<std::uint8_t, 8> header;
   StoreLe32(header.data(), static_cast<std::uint32_t>(payload.size()));
-  StoreLe32(header.data() + 4, Crc32c(payload));
+  StoreLe32(header.data() + 4, crc);
 
   util::MutexLock lock(mu_);
   const util::FaultAction fault =

@@ -93,6 +93,10 @@ class Journal {
   /// file tail to the pre-append offset (safe to retry).  Callers that
   /// genuinely do not need the LSN drop it with an explicit `(void)`.
   [[nodiscard]] std::uint64_t Append(BytesView payload) EXCLUDES(mu_);
+  /// Same, with `crc` == Crc32c(payload) computed by the caller, so a
+  /// caller appending under its own lock can take the CRC out of it.
+  [[nodiscard]] std::uint64_t Append(BytesView payload, std::uint32_t crc)
+      EXCLUDES(mu_);
 
   /// Group commit: returns once every frame appended before this call
   /// is durable (one leader fdatasync per wave).  No-op under kNone.

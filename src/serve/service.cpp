@@ -637,14 +637,16 @@ void Service::ProcessBatch(IngestBatch batch) {
   done.records = std::move(batch.records);
   done.submission = std::move(batch.submission);
   if (!done.failed && log_ != nullptr) {
-    // Pre-encode the journal frame here, on the parallel worker, so the
-    // commit lock only pays for the raw append.  The ticket IS the
-    // event seq, so encoding before commit order is settled is safe.
+    // Pre-encode the journal frame and its CRC here, on the parallel
+    // worker, so the commit lock only pays for the raw append.  The
+    // ticket IS the event seq, so encoding before commit order is
+    // settled is safe.
     persist::CommitBatchEvent event;
     event.seq = seq;
     event.records = std::move(done.records);
     event.accepted = done.accepted;
     done.wal_event = persist::EncodeCommitBatch(event);
+    done.wal_crc = persist::Crc32c(done.wal_event);
     done.records = std::move(event.records);
   }
   Commit(seq, std::move(done));
@@ -687,7 +689,7 @@ void Service::Commit(std::uint64_t seq, AuthedBatch batch) {
             // not inherit capabilities).
             state_mu_.AssertHeld();
             JournalDirectoryLocked();
-            (void)log_->journal().Append(b.wal_event);
+            (void)log_->journal().Append(b.wal_event, b.wal_crc);
           });
           ack_needs_sync = true;
         } catch (const Error& e) {

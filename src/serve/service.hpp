@@ -354,9 +354,11 @@ class Service {
     std::vector<data::EncryptedRecord> records;
     std::vector<char> accepted;
     std::shared_ptr<Submission> submission;
-    /// Pre-encoded kCommitBatch journal payload (built off the commit
-    /// lock by the ingest worker; empty when not journaling).
+    /// Pre-encoded kCommitBatch journal payload and its Crc32c (built
+    /// off the commit lock by the ingest worker; empty when not
+    /// journaling).
     Bytes wal_event;
+    std::uint32_t wal_crc = 0;
     /// Authentication failed permanently (transient retries exhausted
     /// or a non-transient error); the batch commits nothing and the
     /// submission resolves with `fail_kind`.

@@ -1,9 +1,9 @@
 // GEMM substrate parity suite (PR 3).
 //
 // The Fast profile routes non-trivial shapes through the cache-blocked
-// register-tiled core (gemm_tile.inc) while Precise keeps the naive
-// serial-order loops; these tests pin the two contracts that refactor
-// must preserve:
+// register-tiled core (gemm_tile.inc); Precise runs strict-FP register
+// tiles with the serial loops' bits (pinned by the Precise* cases at the
+// end).  These tests pin the contracts both must keep:
 //  * parity — tiled Fast results match the Precise reference within a
 //    k-scaled tolerance across odd/tail shapes (every m, n, k
 //    combination of {1, 3, 5, 17, 33, 63} plus block-boundary shapes
@@ -13,7 +13,9 @@
 //    batched conv included) are bit-identical at threads 1/2/3/8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -455,6 +457,284 @@ TEST(GemmDeterminismTest, BatchedCol2ImMatchesPerSample) {
                              got.size() * sizeof(float)))
         << "threads=" << threads;
   }
+}
+
+// ---- Strict-FP Precise tiles ---------------------------------------
+// The Precise kernels run register tiles (per ISA tier: up to 8 rows x
+// 32 columns for the AXPY forms, 8 rows of A x 8 outputs for the dot
+// form) but must keep the serial loops' exact chain per output.  The
+// references below are those loops (this file is built with
+// -ffp-contract=off, like the Precise kernels, so no build contracts
+// them), and the Precise outputs must match them bit for bit.
+
+/// Epilogue seed of C(i, j), then C += A(i, p) * B(p, j) for p
+/// ascending, then the leaky slope.  A(i, p) at a[i*a_rs + p*a_cs].
+void ReferenceAxpy(std::size_t m, std::size_t n, std::size_t k,
+                   const float* a, std::size_t a_rs, std::size_t a_cs,
+                   const float* b, std::size_t ldb, float* c,
+                   std::size_t ldc, const GemmEpilogue& e) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float v = e.accumulate ? c[i * ldc + j] : 0.0F;
+      if (e.row_bias != nullptr) {
+        v = e.accumulate ? v + e.row_bias[i] : e.row_bias[i];
+      }
+      if (e.col_bias != nullptr) v += e.col_bias[j];
+      for (std::size_t p = 0; p < k; ++p) {
+        v += a[i * a_rs + p * a_cs] * b[p * ldb + j];
+      }
+      if (e.negative_slope != 1.0F && v < 0.0F) v *= e.negative_slope;
+      c[i * ldc + j] = v;
+    }
+  }
+}
+
+/// Epilogue seed of C(i, j) plus the dot of A row i and B row j (a sum
+/// from 0 over p ascending), then the leaky slope.
+void ReferenceDot(std::size_t m, std::size_t n, std::size_t k,
+                  const float* a, std::size_t lda, const float* b,
+                  std::size_t ldb, float* c, std::size_t ldc,
+                  const GemmEpilogue& e) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float v = e.accumulate ? c[i * ldc + j] : 0.0F;
+      if (e.row_bias != nullptr) {
+        v = e.accumulate ? v + e.row_bias[i] : e.row_bias[i];
+      }
+      if (e.col_bias != nullptr) v += e.col_bias[j];
+      float sum = 0.0F;
+      for (std::size_t p = 0; p < k; ++p) {
+        sum += a[i * lda + p] * b[j * ldb + p];
+      }
+      v += sum;
+      if (e.negative_slope != 1.0F && v < 0.0F) v *= e.negative_slope;
+      c[i * ldc + j] = v;
+    }
+  }
+}
+
+/// Overwrite / accumulate, with and without row and column biases, at
+/// slopes 0.1 and 1.
+std::vector<GemmEpilogue> EpilogueVariants(const float* row_bias,
+                                           const float* col_bias) {
+  std::vector<GemmEpilogue> out;
+  for (bool accumulate : {false, true}) {
+    for (int bias = 0; bias < 4; ++bias) {
+      for (float slope : {0.1F, 1.0F}) {
+        GemmEpilogue e;
+        e.accumulate = accumulate;
+        e.row_bias = (bias & 1) != 0 ? row_bias : nullptr;
+        e.col_bias = (bias & 2) != 0 ? col_bias : nullptr;
+        e.negative_slope = slope;
+        out.push_back(e);
+      }
+    }
+  }
+  return out;
+}
+
+/// Checks GemmEx / TransAEx / TransBEx Precise against the references
+/// on one shape, every epilogue variant.
+void ExpectPreciseFormsMatchReference(std::size_t m, std::size_t n,
+                                      std::size_t k,
+                                      const std::vector<float>& a,
+                                      const std::vector<float>& b,
+                                      const std::vector<float>& c0,
+                                      const std::vector<float>& row_bias,
+                                      const std::vector<float>& col_bias) {
+  for (const GemmEpilogue& e :
+       EpilogueVariants(row_bias.data(), col_bias.data())) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << m << " n=" << n << " k=" << k
+                 << " accumulate=" << e.accumulate
+                 << " row_bias=" << (e.row_bias != nullptr)
+                 << " col_bias=" << (e.col_bias != nullptr)
+                 << " slope=" << e.negative_slope);
+    std::vector<float> want = c0, got = c0;
+    ReferenceAxpy(m, n, k, a.data(), k, 1, b.data(), n, want.data(), n, e);
+    GemmExPrecise(m, n, k, a.data(), b.data(), got.data(), e);
+    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * 4))
+        << "GemmEx";
+    want = c0;
+    got = c0;
+    ReferenceAxpy(m, n, k, a.data(), 1, m, b.data(), n, want.data(), n, e);
+    GemmTransAExPrecise(m, n, k, a.data(), b.data(), got.data(), e);
+    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * 4))
+        << "GemmTransAEx";
+    want = c0;
+    got = c0;
+    ReferenceDot(m, n, k, a.data(), k, b.data(), k, want.data(), n, e);
+    GemmTransBExPrecise(m, n, k, a.data(), b.data(), got.data(), e);
+    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * 4))
+        << "GemmTransBEx";
+  }
+}
+
+TEST(GemmDeterminismTest, PreciseTilesMatchSerialLoopsBitForBit) {
+  // m, n and k below, at and across every tier's tile sizes (AXPY rows
+  // 4 / 8, columns 4 / 8 / 16 / 32 and their doubles; dot lanes 4 / 8,
+  // outputs 8), so every full tile, row tail, column tail and staged
+  // remainder runs.  The n x k operand is sized for both B layouts.
+  for (std::size_t m : {1, 3, 4, 5, 8, 9, 12, 17}) {
+    for (std::size_t n : {1, 3, 4, 7, 8, 9, 16, 17, 31, 32, 33, 49, 65}) {
+      for (std::size_t k : {0, 1, 2, 7, 27}) {
+        Rng rng(m * 7919 + n * 104729 + k);
+        std::vector<float> a(std::max(m, k) * std::max(m, k) + 1),
+            b(n * k + 1), c0(m * n), row_bias(m), col_bias(n);
+        FillGaussian(a, rng);
+        FillGaussian(b, rng);
+        FillGaussian(c0, rng);
+        FillGaussian(row_bias, rng);
+        FillGaussian(col_bias, rng);
+        ExpectPreciseFormsMatchReference(m, n, k, a, b, c0, row_bias,
+                                         col_bias);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(GemmDeterminismTest, PreciseTilesKeepSpecialValuesBitForBit) {
+  // NaN, -0.0 and +-inf in A, B, C and both biases of one shape with
+  // full and tail tiles in every tier.
+  constexpr std::size_t m = 9, n = 37, k = 11;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), -0.0F,
+                            inf, -inf};
+  Rng rng(777);
+  std::vector<float> a(m * k + k * m), b(n * k), c0(m * n), row_bias(m),
+      col_bias(n);
+  FillGaussian(a, rng);
+  FillGaussian(b, rng);
+  FillGaussian(c0, rng);
+  FillGaussian(row_bias, rng);
+  FillGaussian(col_bias, rng);
+  for (std::size_t i = 3; i < a.size(); i += 29) a[i] = specials[i % 4];
+  for (std::size_t i = 0; i < b.size(); i += 31) b[i] = specials[i % 4];
+  for (std::size_t i = 1; i < c0.size(); i += 23) c0[i] = specials[i % 4];
+  row_bias[4] = -0.0F;
+  col_bias[5] = -0.0F;
+  col_bias[20] = std::numeric_limits<float>::quiet_NaN();
+  ExpectPreciseFormsMatchReference(m, n, k, a, b, c0, row_bias, col_bias);
+}
+
+TEST(GemmDeterminismTest, PreciseConvGemmsMatchSerialLoopsBitForBit) {
+  // The conv entry points address one sample inside the wide buffers
+  // (B and C rows batch*n apart, n < the stride).  Forward: overwrite,
+  // row bias, slope 0.1.  Backward: the weight gradients accumulate
+  // sample by sample, col_delta is overwritten.
+  for (std::size_t n : {49, 196}) {
+    for (int batch : {1, 3, 4}) {
+      constexpr std::size_t m = 8, k = 27;
+      const std::size_t wn = static_cast<std::size_t>(batch) * n;
+      Rng rng(n * 31 + static_cast<std::size_t>(batch));
+      std::vector<float> w(m * k), col(k * wn), bias(m), delta(m * wn),
+          dw0(m * k);
+      FillGaussian(w, rng);
+      FillGaussian(col, rng);
+      FillGaussian(bias, rng);
+      FillGaussian(delta, rng);
+      FillGaussian(dw0, rng);
+
+      std::vector<float> out_ref(m * wn), dw_ref = dw0, cd_ref(k * wn);
+      GemmEpilogue fwd;
+      fwd.accumulate = false;
+      fwd.row_bias = bias.data();
+      fwd.negative_slope = 0.1F;
+      GemmEpilogue overwrite;
+      overwrite.accumulate = false;
+      for (int s = 0; s < batch; ++s) {
+        const std::size_t off = static_cast<std::size_t>(s) * n;
+        ReferenceAxpy(m, n, k, w.data(), k, 1, col.data() + off, wn,
+                      out_ref.data() + off * m, n, fwd);
+        ReferenceDot(m, k, n, delta.data() + off, wn, col.data() + off, wn,
+                     dw_ref.data(), k, GemmEpilogue{});
+        ReferenceAxpy(k, n, m, w.data(), 1, k, delta.data() + off, wn,
+                      cd_ref.data() + off, wn, overwrite);
+      }
+      for (unsigned threads : {1U, 4U}) {
+        util::ScopedThreads scoped(threads);
+        std::vector<float> out(m * wn, -7.0F), dw = dw0, cd(k * wn, -7.0F);
+        ConvGemmBatchedPrecise(m, n, k, batch, w.data(), col.data(),
+                               bias.data(), 0.1F, out.data());
+        ConvGemmBackwardPrecise(m, n, k, batch, w.data(), delta.data(),
+                                col.data(), dw.data(), cd.data());
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " batch=" << batch
+                                          << " threads=" << threads);
+        ASSERT_EQ(0, std::memcmp(out.data(), out_ref.data(), out.size() * 4))
+            << "forward";
+        ASSERT_EQ(0, std::memcmp(dw.data(), dw_ref.data(), dw.size() * 4))
+            << "weight grads";
+        ASSERT_EQ(0, std::memcmp(cd.data(), cd_ref.data(), cd.size() * 4))
+            << "col_delta";
+      }
+    }
+  }
+}
+
+/// FNV-1a over the bytes of `v`, folded into `h`.
+void HashFloats(const std::vector<float>& v, std::uint64_t& h) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ULL;
+  }
+}
+
+void FillUniform(std::vector<float>& v, Rng& rng) {
+  for (float& x : v) x = rng.UniformFloat(-1.0F, 1.0F);
+}
+
+TEST(GemmDeterminismTest, PreciseOutputsMatchGoldenHash) {
+  // The Precise bits are fixed on every host and build: strict IEEE
+  // float, no contraction.  The constant was recorded from the portable
+  // build of the serial-loop Precise kernels.  A build that fuses
+  // `acc + a * b` into an FMA (say -march=native without
+  // -ffp-contract=off on gemm_precise.cpp) or reorders a sum fails here.
+  std::uint64_t h = 14695981039346656037ULL;
+  const GemmShape shapes[] = {
+      {1, 1, 1}, {5, 17, 3}, {8, 49, 36}, {13, 70, 27}, {33, 100, 72}};
+  for (const GemmShape& s : shapes) {
+    Rng rng(s.m * 1000 + s.n * 10 + s.k);
+    std::vector<float> a(s.m * s.k), b(s.k * s.n), c0(s.m * s.n),
+        row_bias(s.m), col_bias(s.n);
+    FillUniform(a, rng);
+    FillUniform(b, rng);
+    FillUniform(c0, rng);
+    FillUniform(row_bias, rng);
+    FillUniform(col_bias, rng);
+    for (const GemmEpilogue& e :
+         EpilogueVariants(row_bias.data(), col_bias.data())) {
+      std::vector<float> c = c0;
+      GemmExPrecise(s.m, s.n, s.k, a.data(), b.data(), c.data(), e);
+      HashFloats(c, h);
+      c = c0;
+      GemmTransAExPrecise(s.m, s.n, s.k, a.data(), b.data(), c.data(), e);
+      HashFloats(c, h);
+      c = c0;
+      GemmTransBExPrecise(s.m, s.n, s.k, a.data(), b.data(), c.data(), e);
+      HashFloats(c, h);
+    }
+  }
+  // One conv forward and one backward pass over a 4-sample block.
+  constexpr std::size_t m = 8, n = 196, k = 72;
+  constexpr int batch = 4;
+  const std::size_t wn = batch * n;
+  Rng rng(2026);
+  std::vector<float> w(m * k), col(k * wn), bias(m), delta(m * wn),
+      dw(m * k), out(m * wn), cd(k * wn);
+  FillUniform(w, rng);
+  FillUniform(col, rng);
+  FillUniform(bias, rng);
+  FillUniform(delta, rng);
+  FillUniform(dw, rng);
+  ConvGemmBatchedPrecise(m, n, k, batch, w.data(), col.data(), bias.data(),
+                         0.1F, out.data());
+  ConvGemmBackwardPrecise(m, n, k, batch, w.data(), delta.data(), col.data(),
+                          dw.data(), cd.data());
+  HashFloats(out, h);
+  HashFloats(dw, h);
+  HashFloats(cd, h);
+  EXPECT_EQ(h, 0x4f8093647ecc7bc5ULL);
 }
 
 }  // namespace
