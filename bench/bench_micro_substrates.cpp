@@ -12,7 +12,9 @@
 #include <cstring>
 
 #include "bench_common.hpp"
+#include "core/participant.hpp"
 #include "core/partitioned.hpp"
+#include "core/server.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/gcm.hpp"
@@ -20,6 +22,7 @@
 #include "crypto/isa.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
+#include "data/synthetic_cifar.hpp"
 #include "enclave/attestation.hpp"
 #include "enclave/enclave.hpp"
 #include "linkage/fingerprint.hpp"
@@ -29,6 +32,7 @@
 #include "nn/network.hpp"
 #include "nn/pool.hpp"
 #include "nn/presets.hpp"
+#include "nn/workspace.hpp"
 #include "securechannel/handshake.hpp"
 #include "securechannel/record.hpp"
 #include "util/mathx.hpp"
@@ -316,7 +320,10 @@ void BM_ConvGemm(benchmark::State& state, nn::KernelProfile profile,
   util::ScopedThreads guard(1);
   Rng rng(3);
   const std::size_t wide_n = n * static_cast<std::size_t>(batch);
-  std::vector<float> w(m * k), col(k * wide_n), bias(m), out(m * wide_n);
+  // Cache-line aligned, like the product's LayerScratch::col, so the
+  // buffers' alignment does not depend on the process's heap history.
+  using AlignedFloats = std::vector<float, nn::CacheLineAllocator<float>>;
+  AlignedFloats w(m * k), col(k * wide_n), bias(m), out(m * wide_n);
   for (float& x : w) x = rng.Gaussian();
   for (float& x : col) x = rng.Gaussian();
   for (float& x : bias) x = rng.Gaussian();
@@ -562,10 +569,11 @@ BENCHMARK(BM_GemmFastThreads)
     ->Args({256, 8})
     ->UseRealTime();
 
-// Fingerprint extraction, serial vs parallel: the FingerprintAll
-// phase-2 pattern — every worker runs against the single shared const
-// model with its own activation workspace (no replicas, no model
-// serialization); every record's arithmetic is identical to serial.
+// Fingerprint extraction alone, serial vs parallel, over images already
+// in the clear: as in FingerprintAll, every worker runs against the
+// single shared const model with its own activation workspace (no
+// replicas, no model serialization); every record's arithmetic is
+// identical to serial.
 // The workspace_bytes counter is the per-worker working set.
 void BM_FingerprintExtractThreads(benchmark::State& state) {
   const unsigned threads = static_cast<unsigned>(state.range(0));
@@ -578,10 +586,15 @@ void BM_FingerprintExtractThreads(benchmark::State& state) {
     for (float& p : img.pixels) p = rng.UniformFloat();
   }
   for (auto _ : state) {
-    std::vector<linkage::Fingerprint> fingerprints =
-        linkage::ExtractFingerprintsBatch(
-            net, layer, images.size(),
-            [&](std::size_t i) -> const nn::Image& { return images[i]; });
+    std::vector<linkage::Fingerprint> fingerprints(images.size());
+    util::ParallelForBlocked(
+        0, images.size(), [&](std::size_t b0, std::size_t b1) {
+          nn::LayerWorkspace ws(net);
+          for (std::size_t i = b0; i < b1; ++i) {
+            fingerprints[i] =
+                linkage::ExtractFingerprintAt(net, images[i], layer, ws);
+          }
+        });
     benchmark::DoNotOptimize(fingerprints.data());
   }
   // Per-worker memory: one activation workspace after one extraction.
@@ -594,6 +607,36 @@ void BM_FingerprintExtractThreads(benchmark::State& state) {
                           static_cast<std::int64_t>(images.size()));
 }
 BENCHMARK(BM_FingerprintExtractThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// The whole fingerprint stage through the product entry,
+// TrainingServer::FingerprintAll: one ECALL in which the pool
+// re-authenticates, decrypts and fingerprints every stored record
+// (512 Table1Spec(16) records from two sources), then the tuples are
+// inserted in record order.  check_bench_scaling.py fails the sweep if
+// the 4-thread rate falls below the 1-thread one.
+void BM_FingerprintAllThreads(benchmark::State& state) {
+  const unsigned threads = static_cast<unsigned>(state.range(0));
+  util::ScopedThreads guard(threads);
+  constexpr std::size_t kRecordsPerSource = 256;
+  core::TrainingServer server;
+  Rng rng(9);
+  data::SyntheticCifar gen;
+  core::Participant alice("alice", gen.Generate(kRecordsPerSource, rng), 11);
+  core::Participant bob("bob", gen.Generate(kRecordsPerSource, rng), 12);
+  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  (void)bob.ProvisionAndUpload(server, server.training_measurement());
+  core::PartitionedTrainOptions options;
+  options.epochs = 0;  // initial weights: the pass costs the same
+  (void)server.Train(nn::Table1Spec(16), options);
+  for (auto _ : state) {
+    const linkage::LinkageDatabase db = server.FingerprintAll();
+    benchmark::DoNotOptimize(db.size());
+  }
+  state.counters["threads"] = threads;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * kRecordsPerSource));
+}
+BENCHMARK(BM_FingerprintAllThreads)->Arg(1)->Arg(4)->UseRealTime();
 
 // The pre-refactor baseline for comparison: one model replica per
 // worker block, round-tripped through SerializeModel/DeserializeModel.

@@ -70,7 +70,7 @@ std::vector<MispredictionReport> QueryService::InvestigateBatch(
   // Forward passes are independent per input and run against the
   // shared const model, one activation workspace per worker block —
   // bit-identical at any thread count (same contract as
-  // ExtractFingerprintsBatch).
+  // TrainingServer::FingerprintAll).
   util::ParallelForBlocked(0, inputs.size(),
                            [&](std::size_t b0, std::size_t b1) {
     nn::LayerWorkspace ws(model_);

@@ -318,39 +318,50 @@ TrainReport TrainingServer::Train(const nn::NetworkSpec& spec,
           std::min<std::size_t>(static_cast<std::size_t>(options.batch_size),
                                 order.size() - first);
       // In-enclave: authenticate, decrypt, augment, pack (paper Fig. 2).
-      nn::Batch batch;
+      nn::Batch batch(static_cast<int>(count), model_->spec().input);
       std::vector<int> labels(count);
       training_enclave_->Ecall([&] {
         // Capabilities do not propagate into lambda bodies; the
         // enclosing Train holds records_mu_ for the whole pass.
         records_mu_.AssertHeld();
-        for (std::size_t i = 0; i < count; ++i) {
+        // Open the batch's records across the pool, each decoded
+        // straight into its slot.
+        std::vector<char> provisioned(count, 0);
+        std::vector<std::optional<data::InstanceHeader>> headers(count);
+        util::ParallelFor(0, count, [&](std::size_t i) {
+          records_mu_.AssertHeld();
           const data::EncryptedRecord& record = records_[order[first + i]];
           const auto creds = CredentialsOf(record.participant_id);
-          CALTRAIN_CHECK(creds != nullptr,
+          if (creds == nullptr) return;
+          provisioned[i] = 1;
+          headers[i] = data::OpenRecordInto(record, creds->cipher, batch,
+                                            static_cast<int>(i));
+        });
+        // Then in batch order: the first bad record fails the round
+        // whatever the thread count, and Augment draws from the shared
+        // RNG record by record.
+        for (std::size_t i = 0; i < count; ++i) {
+          const data::EncryptedRecord& record = records_[order[first + i]];
+          CALTRAIN_CHECK(provisioned[i] != 0,
                          "record from deprovisioned source");
-          auto verified = data::OpenRecord(record, creds->cipher);
-          CALTRAIN_CHECK(verified.has_value(),
+          CALTRAIN_CHECK(headers[i].has_value(),
                          "stored record failed re-authentication");
-          nn::Image image = std::move(verified->image);
-          if (options.augment) {
-            image = nn::Augment(image, options.augment_options, rng);
-          }
-          // Ingest does not know the model's input shape: check it
-          // before the pixels are copied into the batch.
-          if (image.shape != model_->spec().input) {
+          // Ingest does not know the model's input shape: records of
+          // another shape were not copied into the batch.
+          if (headers[i]->shape != batch.shape) {
             ThrowError(ErrorKind::kInvalidArgument,
                        "record from participant '" + record.participant_id +
-                           "' has shape " + image.shape.ToString() +
-                           ", model input is " +
-                           model_->spec().input.ToString());
+                           "' has shape " + headers[i]->shape.ToString() +
+                           ", model input is " + batch.shape.ToString());
           }
-          if (batch.n == 0) {
-            batch = nn::Batch(static_cast<int>(count), image.shape);
+          labels[i] = headers[i]->label;
+          if (options.augment) {
+            float* slot = batch.Sample(static_cast<int>(i));
+            nn::Image image(batch.shape);
+            std::copy(slot, slot + batch.SampleSize(), image.pixels.begin());
+            image = nn::Augment(image, options.augment_options, rng);
+            std::copy(image.pixels.begin(), image.pixels.end(), slot);
           }
-          std::copy(image.pixels.begin(), image.pixels.end(),
-                    batch.Sample(static_cast<int>(i)));
-          labels[i] = verified->label;
         }
       });
       loss_sum += trainer.TrainBatch(batch, labels, options.sgd, rng);
@@ -412,71 +423,43 @@ linkage::LinkageDatabase TrainingServer::FingerprintAll(
   // enclosed in the fingerprinting enclave (paper Sec. IV-C).
   const enclave::RegionId model_region = fingerprint_enclave_->epc().Allocate(
       "full-model", model_->WeightBytes(0, model_->NumLayers()));
-  if (util::Parallelism::threads() <= 1) {
-    // Serial path: unchanged from the original single-threaded stage,
-    // so threads=1 is bit-identical to the pre-threading behaviour.
-    for (const data::EncryptedRecord& record : records_) {
-      fingerprint_enclave_->Ecall([&] {
-        fingerprint_enclave_->epc().Touch(model_region);
-        const auto creds = CredentialsOf(record.participant_id);
-        CALTRAIN_CHECK(creds != nullptr, "record from deprovisioned source");
-        auto verified = data::OpenRecord(record, creds->cipher);
-        CALTRAIN_CHECK(verified.has_value(),
-                       "stored record failed re-authentication");
-        linkage::Fingerprint fp = linkage::ExtractFingerprintAt(
-            *model_, verified->image, layer);
-        (void)db.Insert(std::move(fp), verified->label,
-                        verified->participant_id, verified->content_hash);
-      });
-    }
-  } else {
-    // Parallel path.  Phase 1 authenticates and decrypts every stored
-    // record (one ECALL each, like the serial path — EPC accounting and
-    // GCM verification are not thread safe).
-    std::vector<data::VerifiedRecord> verified(records_.size());
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      fingerprint_enclave_->Ecall([&] {
-        // Lambda-inherited capability: FingerprintAll holds records_mu_.
-        records_mu_.AssertHeld();
-        fingerprint_enclave_->epc().Touch(model_region);
-        const auto creds = CredentialsOf(records_[i].participant_id);
-        CALTRAIN_CHECK(creds != nullptr, "record from deprovisioned source");
-        auto opened = data::OpenRecord(records_[i], creds->cipher);
-        CALTRAIN_CHECK(opened.has_value(),
-                       "stored record failed re-authentication");
-        verified[i] = std::move(*opened);
-      });
-    }
-    // Phases 2+3 stay inside the fingerprinting enclave — the
-    // plaintext model and the database construction must not leave the
-    // protection boundary, exactly as in the serial stage.  Phase 2 is
-    // one multi-threaded ECALL extracting every fingerprint from the
-    // *single shared enclaved model* (each worker brings only an
-    // activation workspace — no per-worker model replica and no
-    // serialization round-trip); every record's arithmetic is
-    // identical to the serial extraction.  Phase 3 goes through the
-    // segmented database's batched insert: ids are reserved in record
-    // order before the per-class appends fan out over the pool, so ids
-    // and tuples match the serial database element-wise.
-    std::vector<linkage::Fingerprint> fingerprints =
-        fingerprint_enclave_->Ecall([&] {
-          return linkage::ExtractFingerprintsBatch(
-              *model_, layer, verified.size(),
-              [&](std::size_t i) -> const nn::Image& {
-                return verified[i].image;
-              });
+  // One ECALL covers the pass: the plaintext records, the model and the
+  // database construction never leave the protection boundary.  Each
+  // worker block opens its records (re-authentication, decryption and
+  // the linkage hash H) and extracts their fingerprints from the
+  // *single shared enclaved model* with its own activation workspace,
+  // so no decrypted image outlives its own extraction.  Every record's
+  // arithmetic is the serial extraction's.  The segmented database's
+  // batched insert then reserves ids in record order, so ids and tuples
+  // are identical at every thread count.
+  fingerprint_enclave_->Ecall([&] {
+    // Lambda-inherited capability: FingerprintAll holds records_mu_.
+    records_mu_.AssertHeld();
+    fingerprint_enclave_->epc().Touch(model_region);
+    const nn::Network& model = *model_;
+    std::vector<linkage::LinkageRecord> tuples(records_.size());
+    util::ParallelForBlocked(
+        0, records_.size(), [&](std::size_t b0, std::size_t b1) {
+          records_mu_.AssertHeld();
+          nn::LayerWorkspace ws(model);
+          for (std::size_t i = b0; i < b1; ++i) {
+            const data::EncryptedRecord& record = records_[i];
+            const auto creds = CredentialsOf(record.participant_id);
+            CALTRAIN_CHECK(creds != nullptr,
+                           "record from deprovisioned source");
+            auto verified = data::OpenRecord(record, creds->cipher);
+            CALTRAIN_CHECK(verified.has_value(),
+                           "stored record failed re-authentication");
+            linkage::LinkageRecord& tuple = tuples[i];
+            tuple.fingerprint = linkage::ExtractFingerprintAt(
+                model, verified->image, layer, ws);
+            tuple.label = verified->label;
+            tuple.source = std::move(verified->participant_id);
+            tuple.hash = verified->content_hash;
+          }
         });
-    std::vector<linkage::LinkageRecord> records(verified.size());
-    for (std::size_t i = 0; i < verified.size(); ++i) {
-      records[i].fingerprint = std::move(fingerprints[i]);
-      records[i].label = verified[i].label;
-      records[i].source = verified[i].participant_id;
-      records[i].hash = verified[i].content_hash;
-    }
-    fingerprint_enclave_->Ecall([&] {
-      (void)db.InsertBatch(std::move(records));
-    });
-  }
+    (void)db.InsertBatch(std::move(tuples));
+  });
   fingerprint_enclave_->epc().Free(model_region);
   return db;
 }

@@ -172,7 +172,12 @@ class TrainingServer {
 
   // --- phase 3: partitioned training -----------------------------------
   /// Trains `spec` on all accepted records; the model stays owned by the
-  /// server until released.
+  /// server until released.  Each batch is one ECALL: its records are
+  /// re-authenticated and decrypted across the pool straight into their
+  /// batch slots, then checked and augmented in batch order, so the
+  /// first bad record fails the round and the weights are identical at
+  /// every thread count.  Throws kInvalidArgument naming the source of
+  /// a record whose shape is not the model input's.
   TrainReport Train(const nn::NetworkSpec& spec,
                     const PartitionedTrainOptions& options);
 
@@ -180,7 +185,10 @@ class TrainingServer {
 
   // --- phase 4: fingerprinting stage ------------------------------------
   /// Runs the fingerprinting enclave over every accepted record with the
-  /// trained model fully enclosed; returns the linkage database.
+  /// trained model fully enclosed; returns the linkage database.  One
+  /// ECALL for the whole pass: workers open and fingerprint disjoint
+  /// record blocks against the shared model, and tuples are inserted in
+  /// record order, so the database bytes match at every thread count.
   /// `fingerprint_layer` selects the embedding layer (-1 = the paper's
   /// penultimate layer).
   [[nodiscard]] linkage::LinkageDatabase FingerprintAll(

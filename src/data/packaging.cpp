@@ -54,13 +54,17 @@ std::optional<InstanceHeader> ParseInstanceHeader(BytesView blob) {
   return header;
 }
 
+/// Writes the pixels of a blob ParseInstanceHeader accepted into `out`
+/// (exactly the header's shape.Flat() floats).
+void DecodePixelsInto(BytesView blob, std::span<float> out) {
+  ByteReader reader(blob.subspan(kInstanceHeaderBytes));
+  reader.ReadF32Array(out);
+}
+
 /// The pixels of a blob ParseInstanceHeader accepted.
 nn::Image DecodePixels(BytesView blob, const InstanceHeader& header) {
-  nn::Image image;
-  image.shape = header.shape;
-  // The float vector starts at the count field.
-  ByteReader reader(blob.subspan(kInstanceHeaderBytes - 4));
-  image.pixels = reader.ReadF32Vector();
+  nn::Image image(header.shape);
+  DecodePixelsInto(blob, image.pixels);
   return image;
 }
 
@@ -214,6 +218,20 @@ std::optional<VerifiedRecord> OpenRecord(const EncryptedRecord& record,
   // it directly equals HashTrainingInstance without re-serializing.
   verified.content_hash = crypto::Sha256Hash(*plaintext);
   return verified;
+}
+
+std::optional<InstanceHeader> OpenRecordInto(const EncryptedRecord& record,
+                                             const crypto::AesGcm& cipher,
+                                             nn::Batch& batch, int slot) {
+  const std::optional<Bytes> plaintext = OpenSealed(record, cipher);
+  if (!plaintext.has_value()) return std::nullopt;
+  const std::optional<InstanceHeader> header =
+      AcceptedHeader(record, *plaintext);
+  if (header.has_value() && header->shape == batch.shape) {
+    DecodePixelsInto(*plaintext,
+                     std::span<float>(batch.Sample(slot), batch.SampleSize()));
+  }
+  return header;
 }
 
 std::vector<std::optional<InstanceHeader>> OpenRecordsBatch(

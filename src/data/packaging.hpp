@@ -119,12 +119,24 @@ class DataPackager {
 [[nodiscard]] std::optional<VerifiedRecord> OpenRecord(
     const EncryptedRecord& record, const crypto::AesGcm& cipher);
 
+/// Training-side open: the same authentication and accept test as
+/// OpenRecord, without the linkage content hash (training never reads
+/// it).  Returns the record's header, or nullopt exactly where
+/// OpenRecord would reject.  When the header's shape equals
+/// batch.shape, the pixels are decoded straight into batch slot
+/// `slot`; otherwise the slot is left untouched and the caller reports
+/// the mismatch.  Distinct slots may be filled concurrently.
+[[nodiscard]] std::optional<InstanceHeader> OpenRecordInto(
+    const EncryptedRecord& record, const crypto::AesGcm& cipher,
+    nn::Batch& batch, int slot);
+
 /// The ingest accept test: GCM-opens every record (records[i] with
 /// ciphers[i]) and checks its instance header — shape, label, and a
 /// float count equal to shape.Flat() that exactly fills the plaintext —
 /// without decoding pixels or hashing (training re-opens each record
-/// with OpenRecord).  results[i] is nullopt exactly where
-/// OpenRecord(records[i], ciphers[i]) would reject.
+/// with OpenRecordInto, fingerprinting with OpenRecord).  results[i] is
+/// nullopt exactly where OpenRecord(records[i], ciphers[i]) would
+/// reject.
 [[nodiscard]] std::vector<std::optional<InstanceHeader>> OpenRecordsBatch(
     std::span<const EncryptedRecord* const> records,
     std::span<const crypto::AesGcm* const> ciphers);

@@ -1,7 +1,6 @@
 #include "linkage/fingerprint.hpp"
 
 #include "util/mathx.hpp"
-#include "util/threadpool.hpp"
 
 namespace caltrain::linkage {
 
@@ -25,21 +24,6 @@ Fingerprint ExtractFingerprintAt(const nn::Network& net,
       net.EmbeddingAtLayer(image, layer, nn::KernelProfile::kFast, ws);
   L2NormalizeInPlace(embedding);
   return embedding;
-}
-
-std::vector<Fingerprint> ExtractFingerprintsBatch(
-    const nn::Network& net, int layer, std::size_t count,
-    const std::function<const nn::Image&(std::size_t)>& image_at) {
-  std::vector<Fingerprint> fingerprints(count);
-  util::ParallelForBlocked(0, count, [&](std::size_t b0, std::size_t b1) {
-    // One activation workspace per worker block; the model itself is
-    // shared const across all workers.
-    nn::LayerWorkspace ws(net);
-    for (std::size_t i = b0; i < b1; ++i) {
-      fingerprints[i] = ExtractFingerprintAt(net, image_at(i), layer, ws);
-    }
-  });
-  return fingerprints;
 }
 
 double FingerprintDistance(const Fingerprint& a, const Fingerprint& b) {

@@ -7,8 +7,6 @@
 // run input-reconstruction techniques against them.
 #pragma once
 
-#include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "nn/network.hpp"
@@ -36,17 +34,6 @@ using Fingerprint = std::vector<float>;
                                                const nn::Image& image,
                                                int layer,
                                                nn::LayerWorkspace& ws);
-
-/// Batched extraction over `count` images addressed by `image_at`.
-/// All workers run against the single shared const `net`; each worker
-/// block brings one nn::LayerWorkspace (activation buffers only — no
-/// per-worker model replica, no serialization round-trip).  Every
-/// image's arithmetic is identical to the serial ExtractFingerprintAt,
-/// so results are element-wise identical at any thread count.  Used by
-/// the fingerprinting enclave's parallel stage and the substrate bench.
-[[nodiscard]] std::vector<Fingerprint> ExtractFingerprintsBatch(
-    const nn::Network& net, int layer, std::size_t count,
-    const std::function<const nn::Image&(std::size_t)>& image_at);
 
 /// L2 distance between two fingerprints (the paper's query metric).
 [[nodiscard]] double FingerprintDistance(const Fingerprint& a,

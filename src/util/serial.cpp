@@ -111,16 +111,21 @@ std::string ByteReader::ReadString() {
 
 std::vector<float> ByteReader::ReadF32Vector() {
   const std::uint32_t len = ReadU32();
-  const std::size_t bytes = std::size_t{len} * sizeof(float);
-  Need(bytes);
+  Need(std::size_t{len} * sizeof(float));
   std::vector<float> out(len);
+  ReadF32Array(out);
+  return out;
+}
+
+void ByteReader::ReadF32Array(std::span<float> out) {
+  const std::size_t bytes = out.size() * sizeof(float);
+  Need(bytes);
   if constexpr (std::endian::native == std::endian::little) {
     if (bytes != 0) std::memcpy(out.data(), data_.data() + pos_, bytes);
     pos_ += bytes;
   } else {
-    for (std::uint32_t i = 0; i < len; ++i) out[i] = ReadF32();
+    for (float& x : out) x = ReadF32();
   }
-  return out;
 }
 
 }  // namespace caltrain

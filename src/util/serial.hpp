@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,8 @@ class ByteReader {
   [[nodiscard]] BytesView ReadBytesView();
   [[nodiscard]] std::string ReadString();
   [[nodiscard]] std::vector<float> ReadF32Vector();
+  /// Reads out.size() little-endian floats (no length prefix) into `out`.
+  void ReadF32Array(std::span<float> out);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;

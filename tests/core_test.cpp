@@ -3,7 +3,9 @@
 // query -> release), dynamic re-assessment, and learning hubs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <thread>
 
 #include "core/hubs.hpp"
@@ -402,6 +404,69 @@ TEST(ServerTest, MixedShapeRecordFailsTrainWithoutOverflow) {
     EXPECT_NE(std::string(e.what()).find("mallory"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(ServerTest, MixedShapeErrorNamesFirstBadRecordInBatchOrder) {
+  // Two wrong-shape records from different sources in one batch.  The
+  // batch's records are opened across the pool but checked in batch
+  // order, so the round fails naming whichever comes first in the
+  // shuffled order, with the same message at every thread count.
+  const nn::NetworkSpec spec = nn::Table1Spec(32, 2);
+  const std::string bad_sources[2] = {"mallory", "trudy"};
+  bool seen_first[2] = {false, false};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    // Train draws the initial weights and then shuffles the record
+    // order from one RNG; replay it to find the first bad record.
+    // Records 8 (mallory) and 9 (trudy) follow alice's eight.
+    Rng rng(seed);
+    nn::Network replay(spec);
+    replay.InitWeights(rng);
+    std::vector<std::size_t> order(10);
+    std::iota(order.begin(), order.end(), 0);
+    rng.Shuffle(order);
+    const std::size_t first_bad =
+        *std::find_if(order.begin(), order.end(),
+                      [](std::size_t i) { return i >= 8; }) -
+        8;
+    seen_first[first_bad] = true;
+
+    std::string messages[2];
+    for (int run = 0; run < 2; ++run) {
+      util::ScopedThreads guard(run == 0 ? 1U : 4U);
+      TrainingServer server;
+      Participant alice("alice", IntensityDataset(8, 330), 331);
+      data::LabeledDataset big;
+      big.Append(nn::Image(nn::Shape{64, 64, 3}), 1);
+      data::LabeledDataset small;
+      small.Append(nn::Image(nn::Shape{32, 32, 3}), 0);
+      Participant mallory(bad_sources[0], std::move(big), 332);
+      Participant trudy(bad_sources[1], std::move(small), 333);
+      (void)alice.ProvisionAndUpload(server, server.training_measurement());
+      (void)mallory.ProvisionAndUpload(server, server.training_measurement());
+      (void)trudy.ProvisionAndUpload(server, server.training_measurement());
+
+      PartitionedTrainOptions options;
+      options.epochs = 1;
+      options.batch_size = 16;  // one batch holds every record
+      options.augment = false;
+      options.seed = seed;
+      try {
+        (void)server.Train(spec, options);
+        ADD_FAILURE() << "a mixed-shape round must throw (seed " << seed
+                      << ")";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
+        messages[run] = e.what();
+      }
+    }
+    EXPECT_NE(messages[0].find(bad_sources[first_bad]), std::string::npos)
+        << "seed " << seed << ": " << messages[0];
+    EXPECT_EQ(messages[0].find(bad_sources[1 - first_bad]), std::string::npos)
+        << "seed " << seed << ": " << messages[0];
+    EXPECT_EQ(messages[1], messages[0]) << "seed " << seed;
+  }
+  // The seeds cover both orders, so a report in upload order would fail.
+  EXPECT_TRUE(seen_first[0] && seen_first[1]);
 }
 
 TEST(ServerEdgeTest, ReleaseBeforeTrainingRejected) {

@@ -287,6 +287,46 @@ TEST(PipelineTest, DataParallelTrainingBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(PipelineTest, AugmentedTrainingBitIdenticalAcrossThreadCounts) {
+  // With augmentation on, each batch's records are still opened across
+  // the pool, but Augment draws from the shared RNG serially in record
+  // order: losses, weights and the linkage database must not depend on
+  // the thread count.  Two sources, so the batches mix ciphers.
+  struct FlowResult {
+    std::vector<float> losses;
+    Bytes weights;
+    Bytes db_blob;
+  };
+  const auto run_flow = [](unsigned threads) {
+    util::ScopedThreads guard(threads);
+    FlowResult out;
+    TrainingServer server;
+    Participant alice("alice", TinyCifar(40, 71), 214);
+    Participant bob("bob", TinyCifar(24, 72), 215);
+    (void)alice.ProvisionAndUpload(server, server.training_measurement());
+    (void)bob.ProvisionAndUpload(server, server.training_measurement());
+    PartitionedTrainOptions options = FastOptions(2);
+    options.augment = true;
+    const TrainReport report = server.Train(nn::Table1Spec(16), options);
+    for (const nn::EpochStats& epoch : report.epochs) {
+      out.losses.push_back(epoch.mean_loss);
+    }
+    out.weights =
+        server.model().SerializeWeightRange(0, server.model().NumLayers());
+    out.db_blob = server.FingerprintAll().Serialize();
+    return out;
+  };
+
+  const FlowResult serial = run_flow(1);
+  ASSERT_EQ(serial.losses.size(), 2U);
+  for (const unsigned threads : {2U, 4U}) {
+    const FlowResult parallel = run_flow(threads);
+    EXPECT_EQ(parallel.losses, serial.losses) << "threads=" << threads;
+    EXPECT_EQ(parallel.weights, serial.weights) << "threads=" << threads;
+    EXPECT_EQ(parallel.db_blob, serial.db_blob) << "threads=" << threads;
+  }
+}
+
 TEST(PipelineTest, MiniatureTrojanDetectionLoop) {
   // End-to-end Experiment IV in miniature: clean phase, poisoned phase,
   // fingerprint, query a hijacked probe, attribute the attacker.

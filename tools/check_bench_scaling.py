@@ -4,7 +4,7 @@
 Parses a BENCH_micro.json produced by `bench_micro_substrates --json`
 and fails loudly if the thread sweeps regress: throughput at the
 highest measured thread count must not fall below 1-thread throughput
-on the GEMM and TrainBatch rows.
+on the GEMM, TrainBatch and FingerprintAll rows.
 
 It also gates the hardware crypto kernels: when the crypto_isa info
 row shows an accelerated tier engaged for a family (AES, GHASH via
@@ -48,6 +48,7 @@ import sys
 GATED_SWEEPS = {
     "BM_GemmFastThreads": "gflops",
     "BM_TrainBatchThreads": "items_per_s",
+    "BM_FingerprintAllThreads": "items_per_s",
 }
 
 
