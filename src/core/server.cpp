@@ -11,6 +11,12 @@ namespace caltrain::core {
 
 namespace {
 
+/// Records per work unit of the fingerprint pass.  On a 1/16-width
+/// Table I network a record takes ~75 us to open and fingerprint, so a
+/// unit is ~2 ms, a 4k-record corpus splits into ~128 units, and the
+/// activation workspace each unit builds costs little against that.
+constexpr std::size_t kFingerprintChunk = 32;
+
 enclave::EnclaveConfig MakeEnclaveConfig(const std::string& name,
                                          const Bytes& code_identity,
                                          const enclave::EpcConfig& epc,
@@ -325,10 +331,12 @@ TrainReport TrainingServer::Train(const nn::NetworkSpec& spec,
         // enclosing Train holds records_mu_ for the whole pass.
         records_mu_.AssertHeld();
         // Open the batch's records across the pool, each decoded
-        // straight into its slot.
+        // straight into its slot.  Workers take one record at a time,
+        // so a descheduled worker holds the batch back by one open.
         std::vector<char> provisioned(count, 0);
         std::vector<std::optional<data::InstanceHeader>> headers(count);
-        util::ParallelFor(0, count, [&](std::size_t i) {
+        util::ParallelForChunked(0, count, 1, [&](std::size_t i,
+                                                  std::size_t) {
           records_mu_.AssertHeld();
           const data::EncryptedRecord& record = records_[order[first + i]];
           const auto creds = CredentialsOf(record.participant_id);
@@ -424,22 +432,26 @@ linkage::LinkageDatabase TrainingServer::FingerprintAll(
   const enclave::RegionId model_region = fingerprint_enclave_->epc().Allocate(
       "full-model", model_->WeightBytes(0, model_->NumLayers()));
   // One ECALL covers the pass: the plaintext records, the model and the
-  // database construction never leave the protection boundary.  Each
-  // worker block opens its records (re-authentication, decryption and
-  // the linkage hash H) and extracts their fingerprints from the
-  // *single shared enclaved model* with its own activation workspace,
-  // so no decrypted image outlives its own extraction.  Every record's
-  // arithmetic is the serial extraction's.  The segmented database's
-  // batched insert then reserves ids in record order, so ids and tuples
-  // are identical at every thread count.
+  // database construction never leave the protection boundary.  Workers
+  // pull chunks of kFingerprintChunk records from a shared cursor; each
+  // chunk opens its records (re-authentication, decryption and the
+  // linkage hash H) and extracts their fingerprints from the *single
+  // shared enclaved model* with its own activation workspace, so no
+  // decrypted image outlives its own extraction and a descheduled
+  // worker holds the pass back by one chunk, not a 1/threads() share
+  // of the corpus.  Every record's arithmetic is the serial
+  // extraction's.  The
+  // segmented database's batched insert then reserves ids in record
+  // order, so ids and tuples are identical at every thread count.
   fingerprint_enclave_->Ecall([&] {
     // Lambda-inherited capability: FingerprintAll holds records_mu_.
     records_mu_.AssertHeld();
     fingerprint_enclave_->epc().Touch(model_region);
     const nn::Network& model = *model_;
     std::vector<linkage::LinkageRecord> tuples(records_.size());
-    util::ParallelForBlocked(
-        0, records_.size(), [&](std::size_t b0, std::size_t b1) {
+    util::ParallelForChunked(
+        0, records_.size(), kFingerprintChunk,
+        [&](std::size_t b0, std::size_t b1) {
           records_mu_.AssertHeld();
           nn::LayerWorkspace ws(model);
           for (std::size_t i = b0; i < b1; ++i) {

@@ -388,8 +388,9 @@ ThreadPool& ThreadPool::Global() {
 
 namespace {
 
-/// Shared context for one ParallelForBlocked region: participants pull
-/// blocks from `next_block` until the range is exhausted.
+/// Shared context for one ParallelForBlocked / ParallelForChunked
+/// region: participants pull blocks from `next_block` until the range
+/// is exhausted.
 struct BlockLoopContext {
   std::size_t begin, end, chunk, num_blocks;
   const std::function<void(std::size_t, std::size_t)>* body;
@@ -426,33 +427,12 @@ void LogDegradedDispatchOnce(unsigned wanted, unsigned got) {
                          "threads.  Further occurrences are not logged.";
 }
 
-}  // namespace
-
-void ParallelForBlocked(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t min_grain) {
-  if (begin >= end) return;
-  const std::size_t count = end - begin;
-  const unsigned threads = Parallelism::threads();
-  if (min_grain == 0) min_grain = 1;
-  if (threads <= 1 || tls_in_parallel_region || count < 2 * min_grain) {
-    body(begin, end);
-    return;
-  }
-
-  // The block plan depends on threads() only — never on the dispatch
-  // width below — so the caller-visible partition is stable across
-  // hosts and oversubscription clamps.
-  const std::size_t max_blocks = count / min_grain;
-  const std::size_t num_blocks =
-      std::max<std::size_t>(1, std::min<std::size_t>(threads, max_blocks));
-  if (num_blocks == 1) {
-    body(begin, end);
-    return;
-  }
-  const std::size_t chunk = (count + num_blocks - 1) / num_blocks;
-
+/// Runs `num_blocks` blocks of `chunk` indices covering [begin, end)
+/// as one region of at most Parallelism::width() participants, then
+/// rethrows the first exception any block threw.
+void RunBlocks(std::size_t begin, std::size_t end, std::size_t chunk,
+               std::size_t num_blocks,
+               const std::function<void(std::size_t, std::size_t)>& body) {
   BlockLoopContext loop;
   loop.begin = begin;
   loop.end = end;
@@ -481,6 +461,55 @@ void ParallelForBlocked(
     first_error = loop.first_error;
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+}  // namespace
+
+void ParallelForBlocked(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body,
+    std::size_t min_grain) {
+  if (begin >= end) return;
+  const std::size_t count = end - begin;
+  const unsigned threads = Parallelism::threads();
+  if (min_grain == 0) min_grain = 1;
+  if (threads <= 1 || tls_in_parallel_region || count < 2 * min_grain) {
+    body(begin, end);
+    return;
+  }
+
+  // The block plan depends on threads() only — never on the dispatch
+  // width below — so the caller-visible partition is stable across
+  // hosts and oversubscription clamps.
+  const std::size_t max_blocks = count / min_grain;
+  const std::size_t num_blocks =
+      std::max<std::size_t>(1, std::min<std::size_t>(threads, max_blocks));
+  if (num_blocks == 1) {
+    body(begin, end);
+    return;
+  }
+  const std::size_t chunk = (count + num_blocks - 1) / num_blocks;
+
+  RunBlocks(begin, end, chunk, num_blocks, body);
+}
+
+void ParallelForChunked(
+    std::size_t begin, std::size_t end, std::size_t chunk,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (begin >= end) return;
+  const std::size_t count = end - begin;
+  if (chunk == 0) chunk = 1;
+  const std::size_t num_blocks = count / chunk + (count % chunk != 0 ? 1 : 0);
+  if (Parallelism::threads() <= 1 || tls_in_parallel_region ||
+      num_blocks == 1) {
+    for (std::size_t b0 = begin; b0 < end;) {
+      const std::size_t b1 = b0 + std::min(chunk, end - b0);
+      body(b0, b1);
+      b0 = b1;
+    }
+    return;
+  }
+  RunBlocks(begin, end, chunk, num_blocks, body);
 }
 
 void ParallelFor(std::size_t begin, std::size_t end,

@@ -13,9 +13,10 @@
 //    records, no std::function / shared_ptr allocation on the bulk
 //    path), Submit round-robins across the queues, and idle workers
 //    steal from loaded ones so a long-running task cannot strand the
-//    work queued behind it.  ParallelForBlocked dispatches ONE
-//    persistent loop task per participating worker (the workers pull
-//    blocks from a shared atomic cursor), not one task per block.
+//    work queued behind it.  ParallelForBlocked and ParallelForChunked
+//    dispatch ONE persistent loop task per participating worker (the
+//    workers pull blocks from a shared atomic cursor), not one task per
+//    block.
 //  * Oversubscription — the number of OS threads that participate in a
 //    parallel region is capped at the physical core count
 //    (`Parallelism::width()`).  Requesting more threads than cores
@@ -220,5 +221,16 @@ void ParallelForBlocked(std::size_t begin, std::size_t end,
                         const std::function<void(std::size_t, std::size_t)>&
                             body,
                         std::size_t min_grain = 1);
+
+/// Runs body(b0, b1) over consecutive chunks of `chunk` indices
+/// covering [begin, end) (the last one may be shorter), in that order
+/// when serial.  Participants pull the chunks from a shared cursor, so
+/// a thread the OS deschedules holds the region back by at most the
+/// chunk it is on, not by a fixed 1/threads() share of the range.  The
+/// chunks never depend on the thread count; use it when a range's cost
+/// is even and its results are written by index.
+void ParallelForChunked(std::size_t begin, std::size_t end, std::size_t chunk,
+                        const std::function<void(std::size_t, std::size_t)>&
+                            body);
 
 }  // namespace caltrain::util

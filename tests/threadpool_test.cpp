@@ -168,6 +168,56 @@ TEST(ParallelForTest, BlockedPartitionTilesTheRange) {
   }
 }
 
+// The chunks are a function of the range and the chunk size only: the
+// same set at every thread count, and in order when serial.
+TEST(ParallelForTest, ChunkedPlanIgnoresThreadCount) {
+  const auto chunks_at = [](unsigned threads) {
+    ScopedThreads guard(threads);
+    std::mutex mutex;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    ParallelForChunked(3, 130, 16, [&](std::size_t b0, std::size_t b1) {
+      std::lock_guard<std::mutex> lock(mutex);
+      chunks.emplace_back(b0, b1);
+    });
+    return chunks;
+  };
+  const auto serial = chunks_at(1);
+  ASSERT_EQ(serial.size(), 8U);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].first, 3 + 16 * i);
+    EXPECT_EQ(serial[i].second, std::min<std::size_t>(130, 19 + 16 * i));
+  }
+  auto parallel = chunks_at(4);
+  std::sort(parallel.begin(), parallel.end());
+  EXPECT_EQ(parallel, serial);
+
+  // A zero chunk means one index per chunk; an empty range runs nothing.
+  ScopedThreads guard(4);
+  std::atomic<std::size_t> calls{0};
+  ParallelForChunked(0, 40, 0, [&](std::size_t b0, std::size_t b1) {
+    EXPECT_EQ(b1, b0 + 1);
+    calls.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(calls.load(), 40U);
+  ParallelForChunked(7, 7, 4, [&](std::size_t, std::size_t) {
+    ADD_FAILURE() << "empty range ran a chunk";
+  });
+}
+
+TEST(ParallelForTest, ChunkedPropagatesExceptionsToCaller) {
+  ScopedThreads guard(4);
+  std::atomic<std::size_t> visited{0};
+  EXPECT_THROW(ParallelForChunked(0, 1000, 8,
+                                  [&](std::size_t b0, std::size_t b1) {
+                                    visited.fetch_add(b1 - b0);
+                                    if (b0 == 616) {
+                                      throw std::runtime_error("boom");
+                                    }
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(visited.load(), 1000U);
+}
+
 TEST(ParallelForTest, PropagatesExceptionsToCaller) {
   ScopedThreads guard(4);
   EXPECT_THROW(
