@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
 
     // How well does the white-box reconstruction attack do against this
     // model's fingerprints?
-    const linkage::Fingerprint target =
-        linkage::ExtractFingerprint(net, train.images[0]);
+    nn::LayerWorkspace ws;
+    const linkage::Fingerprint target = linkage::ExtractFingerprintAt(
+        net, train.images[0], net.PenultimateIndex(), ws);
     Rng inv_rng(profile.seed + 3);
     attack::InversionOptions inv_options;
     inv_options.iterations = 100;

@@ -98,13 +98,14 @@ int main(int argc, char** argv) {
 
   std::printf("\n%-22s %-8s %-12s %-12s %-12s\n", "fingerprint layer", "dim",
               "precision", "recall", "attribution");
+  nn::LayerWorkspace ws;
   for (const Candidate& c : candidates) {
     // Build the linkage DB at this layer.
     linkage::LinkageDatabase db;
     linkage::ProvenanceMap provenance;
     for (std::size_t i = 0; i < combined.size(); ++i) {
       const auto id = db.Insert(
-          linkage::ExtractFingerprintAt(net, combined.images[i], c.layer),
+          linkage::ExtractFingerprintAt(net, combined.images[i], c.layer, ws),
           combined.labels[i], combined.sources[i],
           data::HashTrainingInstance(combined.images[i],
                                      combined.labels[i]));
@@ -116,10 +117,10 @@ int main(int argc, char** argv) {
     std::vector<std::vector<linkage::QueryMatch>> per_probe;
     for (const nn::Image& face : probe_faces) {
       const nn::Image probe = attack::ApplyTrigger(face);
-      const auto probs = net.PredictOne(probe);
+      const auto probs = net.PredictOne(probe, ws);
       if (static_cast<int>(ArgMax(probs)) != target) continue;
       per_probe.push_back(db.QueryNearest(
-          linkage::ExtractFingerprintAt(net, probe, c.layer), target, 9));
+          linkage::ExtractFingerprintAt(net, probe, c.layer, ws), target, 9));
     }
     const auto eval =
         linkage::EvaluateAccountability(per_probe, provenance, "mallory");

@@ -66,8 +66,10 @@ inline int RunAccuracyExperiment(const char* figure_name,
   for (std::size_t p = 0; p < shards.size(); ++p) {
     core::Participant participant(names[p], shards[p],
                                   profile.seed + 10 + p);
-    (void)participant.ProvisionAndUpload(server,
-                                         server.training_measurement());
+    participant.Provision(server, server.training_measurement());
+    const auto records = participant.PackRecords();
+    (void)server.CommitRecords(records,
+                               server.AuthenticateRecords(records, 1));
   }
 
   core::PartitionedTrainOptions server_options;

@@ -143,12 +143,17 @@ inline std::string HostSummary() {
 }
 
 /// Writes `rows` to `path` as a JSON array (the BENCH_micro.json
-/// perf-trajectory format).  Returns false if the file cannot be
-/// opened.
+/// perf-trajectory format), led by an informational "host" row whose
+/// shape is HostSummary(), so every BENCH file names the host it was
+/// measured on.  Returns false if the file cannot be opened.
 inline bool WriteBenchJson(const std::string& path,
-                           const std::vector<JsonBenchRow>& rows) {
+                           const std::vector<JsonBenchRow>& measured) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
+  std::vector<JsonBenchRow> rows(1);
+  rows[0].op = "host";
+  rows[0].shape = HostSummary();
+  rows.insert(rows.end(), measured.begin(), measured.end());
   std::fprintf(f, "[\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const JsonBenchRow& r = rows[i];

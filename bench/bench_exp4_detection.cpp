@@ -22,12 +22,13 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<linkage::QueryMatch>> per_probe;
   std::size_t mispredicted = 0;
+  nn::LayerWorkspace ws;
   for (int id = 1; id < profile.identities; ++id) {
     for (int i = 0; i < 5; ++i) {
       const nn::Image probe =
           attack::ApplyTrigger(lab->faces.Sample(id, rng));
       const core::MispredictionReport report =
-          lab->query->Investigate(probe, 9);
+          lab->query->InvestigateWith(ws, probe, 9);
       if (report.predicted_label != lab->target_class) continue;
       ++mispredicted;
       per_probe.push_back(report.neighbors);

@@ -11,8 +11,9 @@
 // nn/kernels.hpp), plus real EPC paging and transition accounting.
 //
 // With `--json PATH` the bench also measures the serving layer's
-// ingest path (BENCH_serve.json): upload throughput through the
-// blocking UploadRecords call (one ECALL per record) vs the async
+// ingest path (BENCH_serve.json): upload throughput through blocking
+// AuthenticateRecords(records, 1) + CommitRecords calls (one ECALL per
+// record) vs the async
 // session API at several authentication batch sizes, plus
 // transitions-per-record rows showing the TransitionGuard
 // amortization.  (BM_ServeTransitionsPerRecord rows report the
@@ -139,7 +140,8 @@ void RunServeIngest(const data::LabeledDataset& dataset, std::uint64_t seed,
     }
   } else {
     Stopwatch timer;
-    (void)server.UploadRecords(records);
+    (void)server.CommitRecords(records,
+                               server.AuthenticateRecords(records, 1));
     seconds = timer.ElapsedSeconds();
   }
 

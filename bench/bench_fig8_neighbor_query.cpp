@@ -44,8 +44,9 @@ bench::JsonBenchRow LatencyRow(std::string op, std::string shape,
 
 void RunCase(const char* title, bench::TrojanLab& lab,
              const nn::Image& probe) {
+  nn::LayerWorkspace ws;
   const core::MispredictionReport report =
-      lab.query->Investigate(probe, /*k=*/9);
+      lab.query->InvestigateWith(ws, probe, /*k=*/9);
   std::printf("\n%s\n", title);
   std::printf("  predicted class: %d (target class %d)\n",
               report.predicted_label, lab.target_class);

@@ -623,8 +623,12 @@ void BM_FingerprintAllThreads(benchmark::State& state) {
   data::SyntheticCifar gen;
   core::Participant alice("alice", gen.Generate(kRecordsPerSource, rng), 11);
   core::Participant bob("bob", gen.Generate(kRecordsPerSource, rng), 12);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
-  (void)bob.ProvisionAndUpload(server, server.training_measurement());
+  for (core::Participant* p : {&alice, &bob}) {
+    p->Provision(server, server.training_measurement());
+    const auto records = p->PackRecords();
+    (void)server.CommitRecords(records,
+                               server.AuthenticateRecords(records, 32));
+  }
   core::PartitionedTrainOptions options;
   options.epochs = 0;  // initial weights: the pass costs the same
   (void)server.Train(nn::Table1Spec(16), options);
@@ -658,9 +662,10 @@ void BM_FingerprintExtractReplicaBaseline(benchmark::State& state) {
     util::ParallelForBlocked(
         0, images.size(), [&](std::size_t b0, std::size_t b1) {
           nn::Network replica = nn::Network::DeserializeModel(blob);
+          nn::LayerWorkspace ws(replica);
           for (std::size_t i = b0; i < b1; ++i) {
             fingerprints[i] =
-                linkage::ExtractFingerprintAt(replica, images[i], layer);
+                linkage::ExtractFingerprintAt(replica, images[i], layer, ws);
           }
         });
     benchmark::DoNotOptimize(fingerprints.data());
@@ -835,19 +840,15 @@ int main(int argc, char** argv) {
   ::benchmark::RunSpecifiedBenchmarks(&reporter);
   ::benchmark::Shutdown();
   if (!json_path.empty()) {
-    // Lead with informational rows: which ISA tiers the "auto" crypto
-    // rows actually ran on (the scaling gate reads it to decide whether
-    // the >= 2x accelerated/scalar check is meaningful) and the host
-    // the rows were measured on.
+    // After the host row WriteBenchJson leads with, an informational
+    // row naming which ISA tiers the "auto" crypto rows actually ran on
+    // (the scaling gate reads it to decide whether the >= 2x
+    // accelerated/scalar check is meaningful).
     std::vector<caltrain::bench::JsonBenchRow> rows;
     caltrain::bench::JsonBenchRow isa_row;
     isa_row.op = "crypto_isa";
     isa_row.shape = caltrain::crypto::ActiveIsaSummary();
     rows.push_back(std::move(isa_row));
-    caltrain::bench::JsonBenchRow host_row;
-    host_row.op = "host";
-    host_row.shape = caltrain::bench::HostSummary();
-    rows.push_back(std::move(host_row));
     rows.insert(rows.end(), reporter.rows().begin(), reporter.rows().end());
     if (!caltrain::bench::WriteBenchJson(json_path, rows)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());

@@ -88,10 +88,15 @@ inline std::unique_ptr<TrojanLab> BuildTrojanLab(
   std::vector<core::Participant> participants;
   participants.emplace_back("honest-A", honest_shards[0], profile.seed + 1);
   participants.emplace_back("honest-B", honest_shards[1], profile.seed + 2);
-  for (auto& p : participants) {
-    (void)p.ProvisionAndUpload(lab->server,
-                               lab->server.training_measurement());
-  }
+  // One record per enclave transition, as the transition counts in the
+  // train reports assume.
+  const auto upload = [&](core::Participant& p) {
+    p.Provision(lab->server, lab->server.training_measurement());
+    const auto records = p.PackRecords();
+    (void)lab->server.CommitRecords(
+        records, lab->server.AuthenticateRecords(records, 1));
+  };
+  for (auto& p : participants) upload(p);
   core::PartitionedTrainOptions options;
   options.epochs = profile.full ? 12 : 8;
   options.batch_size = 32;
@@ -112,8 +117,7 @@ inline std::unique_ptr<TrojanLab> BuildTrojanLab(
   participants.emplace_back("mallory", poisoned, profile.seed + 3);
   participants.emplace_back("lazy", mislabeled, profile.seed + 4);
   for (std::size_t p = 2; p < participants.size(); ++p) {
-    (void)participants[p].ProvisionAndUpload(
-        lab->server, lab->server.training_measurement());
+    upload(participants[p]);
   }
   core::PartitionedTrainOptions retrain = options;
   retrain.resume = true;

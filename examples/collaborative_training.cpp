@@ -19,11 +19,25 @@
 #include "data/synthetic_cifar.hpp"
 #include "nn/presets.hpp"
 #include "nn/trainer.hpp"
+#include "serve/service.hpp"
 #include "util/log.hpp"
 #include "util/threadpool.hpp"
 #include "util/mathx.hpp"
 
 using namespace caltrain;
+
+// Streams a provisioned participant's signed, encrypted records through
+// an upload session of the serving front end (examples/async_serving.cpp
+// walks through the whole asynchronous API); returns the accepted count.
+std::size_t Upload(core::TrainingServer& server,
+                   const core::Participant& participant) {
+  serve::Service service(server, serve::ServiceConfig{});
+  const auto session = service.OpenUploadSession(participant.id());
+  if (!session.ok()) return 0;
+  (void)service.SubmitUpload(session.value(), participant.PackRecords()).get();
+  const auto stats = service.CloseUploadSession(session.value());
+  return stats.ok() ? stats.value().accepted : 0;
+}
 
 int main(int argc, char** argv) {
   // --threads N selects the worker count (wins over CALTRAIN_THREADS).
@@ -43,7 +57,8 @@ int main(int argc, char** argv) {
 
   core::TrainingServer server;
   for (auto& participant : participants) {
-    participant.ProvisionAndUpload(server, server.training_measurement());
+    participant.Provision(server, server.training_measurement());
+    (void)Upload(server, participant);
   }
   std::printf("%zu participants provisioned, %zu records accepted\n",
               participants.size(), server.accepted_records());
@@ -109,7 +124,8 @@ int main(int argc, char** argv) {
   nn::Network local_model = core::TrainingServer::AssembleReleasedModel(
       released, participants[1].data_key());
   const nn::Image probe = gen.Sample(5, rng);
-  const auto probs = local_model.PredictOne(probe);
+  nn::LayerWorkspace ws;
+  const auto probs = local_model.PredictOne(probe, ws);
   std::printf("participant-B decrypted its FrontNet and classified a local\n"
               "sample as class %zu (p=%.2f)\n", ArgMax(probs),
               probs[ArgMax(probs)]);

@@ -20,10 +20,24 @@
 #include "core/server.hpp"
 #include "data/synthetic_faces.hpp"
 #include "nn/presets.hpp"
+#include "serve/service.hpp"
 #include "util/log.hpp"
 #include "util/threadpool.hpp"
 
 using namespace caltrain;
+
+// Streams a provisioned participant's signed, encrypted records through
+// an upload session of the serving front end (examples/async_serving.cpp
+// walks through the whole asynchronous API); returns the accepted count.
+std::size_t Upload(core::TrainingServer& server,
+                   const core::Participant& participant) {
+  serve::Service service(server, serve::ServiceConfig{});
+  const auto session = service.OpenUploadSession(participant.id());
+  if (!session.ok()) return 0;
+  (void)service.SubmitUpload(session.value(), participant.PackRecords()).get();
+  const auto stats = service.CloseUploadSession(session.value());
+  return stats.ok() ? stats.value().accepted : 0;
+}
 
 int main(int argc, char** argv) {
   // --threads N selects the worker count (wins over CALTRAIN_THREADS).
@@ -47,7 +61,8 @@ int main(int argc, char** argv) {
 
   // --- collaborative training (clean, then mallory joins) ---------------
   core::TrainingServer server;
-  honest.ProvisionAndUpload(server, server.training_measurement());
+  honest.Provision(server, server.training_measurement());
+  (void)Upload(server, honest);
   core::PartitionedTrainOptions options;
   options.epochs = 8;
   options.front_layers = 2;
@@ -58,7 +73,8 @@ int main(int argc, char** argv) {
                                     /*embedding_dim=*/64, /*scale=*/8);
   (void)server.Train(spec, options);
 
-  mallory.ProvisionAndUpload(server, server.training_measurement());
+  mallory.Provision(server, server.training_measurement());
+  (void)Upload(server, mallory);
   core::PartitionedTrainOptions retrain = options;
   retrain.resume = true;
   retrain.epochs = 4;
@@ -82,7 +98,9 @@ int main(int argc, char** argv) {
   // --- 2: the runtime misprediction --------------------------------------
   const nn::Image victim =
       attack::ApplyTrigger(faces.Sample(/*identity=*/3, rng));
-  const core::MispredictionReport report = query.Investigate(victim, 9);
+  nn::LayerWorkspace ws;
+  const core::MispredictionReport report =
+      query.InvestigateWith(ws, victim, 9);
   std::printf("\nruntime: a face of identity 3 was classified as identity "
               "%d!\n", report.predicted_label);
 

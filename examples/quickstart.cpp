@@ -15,10 +15,24 @@
 #include "core/server.hpp"
 #include "data/synthetic_cifar.hpp"
 #include "nn/presets.hpp"
+#include "serve/service.hpp"
 #include "util/log.hpp"
 #include "util/threadpool.hpp"
 
 using namespace caltrain;
+
+// Streams a provisioned participant's signed, encrypted records through
+// an upload session of the serving front end (examples/async_serving.cpp
+// walks through the whole asynchronous API); returns the accepted count.
+std::size_t Upload(core::TrainingServer& server,
+                   const core::Participant& participant) {
+  serve::Service service(server, serve::ServiceConfig{});
+  const auto session = service.OpenUploadSession(participant.id());
+  if (!session.ok()) return 0;
+  (void)service.SubmitUpload(session.value(), participant.PackRecords()).get();
+  const auto stats = service.CloseUploadSession(session.value());
+  return stats.ok() ? stats.value().accepted : 0;
+}
 
 int main(int argc, char** argv) {
   // --threads N selects the worker count (wins over CALTRAIN_THREADS).
@@ -37,8 +51,10 @@ int main(int argc, char** argv) {
   const crypto::Sha256Digest measurement = server.training_measurement();
   std::printf("enclave measurement: %s...\n",
               ToHex(BytesView(measurement.data(), 8)).c_str());
-  alice.ProvisionAndUpload(server, measurement);
-  bob.ProvisionAndUpload(server, measurement);
+  for (core::Participant* participant : {&alice, &bob}) {
+    participant->Provision(server, measurement);
+    (void)Upload(server, *participant);
+  }
   std::printf("server accepted %zu encrypted records\n",
               server.accepted_records());
 
@@ -65,8 +81,9 @@ int main(int argc, char** argv) {
   // --- 5: query a prediction ------------------------------------------
   core::QueryService query(std::move(server.model()), std::move(db));
   const nn::Image probe = gen.Sample(3, rng);
+  nn::LayerWorkspace ws;
   const core::MispredictionReport investigation =
-      query.Investigate(probe, /*k=*/5);
+      query.InvestigateWith(ws, probe, /*k=*/5);
   std::printf("\nprobe predicted as class %d; closest training data:\n",
               investigation.predicted_label);
   for (std::size_t r = 0; r < investigation.neighbors.size(); ++r) {

@@ -59,7 +59,8 @@ nn::Image ProjectIrToImage(const std::vector<float>& activation,
   return out;
 }
 
-ExposureReport AssessExposure(nn::Network& gen_net, nn::Network& val_net,
+ExposureReport AssessExposure(const nn::Network& gen_net,
+                              const nn::Network& val_net,
                               const std::vector<nn::Image>& probes) {
   CALTRAIN_REQUIRE(!probes.empty(), "need at least one probe image");
   const nn::Shape input_shape = val_net.input_shape();
@@ -85,11 +86,13 @@ ExposureReport AssessExposure(nn::Network& gen_net, nn::Network& val_net,
   const auto uniform = UniformDistribution(
       static_cast<std::size_t>(val_net.NumClasses()));
 
+  nn::LayerWorkspace gen_ws(gen_net);
+  nn::LayerWorkspace val_ws(val_net);
   for (const nn::Image& probe : probes) {
-    const std::vector<float> reference = val_net.PredictOne(probe);
+    const std::vector<float> reference = val_net.PredictOne(probe, val_ws);
     baseline_sum += KlDivergence(reference, uniform);
 
-    const auto activations = gen_net.AllActivations(probe);
+    const auto activations = gen_net.AllActivations(probe, gen_ws);
     for (std::size_t li = 0; li < spatial_layers.size(); ++li) {
       const int layer = spatial_layers[li];
       const nn::Shape shape = gen_net.layer(layer).out_shape();
@@ -98,7 +101,7 @@ ExposureReport AssessExposure(nn::Network& gen_net, nn::Network& val_net,
         const nn::Image ir = ProjectIrToImage(
             activations[static_cast<std::size_t>(layer)], shape, channel,
             input_shape);
-        const std::vector<float> ir_pred = val_net.PredictOne(ir);
+        const std::vector<float> ir_pred = val_net.PredictOne(ir, val_ws);
         const double kl = KlDivergence(reference, ir_pred);
         exposure.min_kl = std::min(exposure.min_kl, kl);
         exposure.max_kl = std::max(exposure.max_kl, kl);

@@ -45,7 +45,7 @@ struct InversionResult {
 /// `model` as the attacker's (white-box) model.  The attacker starts
 /// from mid-gray plus noise and follows analytic input gradients.
 [[nodiscard]] InversionResult ReconstructFromFingerprint(
-    nn::Network& model, const linkage::Fingerprint& target_fingerprint,
+    const nn::Network& model, const linkage::Fingerprint& target_fingerprint,
     const InversionOptions& options, Rng& rng);
 
 }  // namespace caltrain::attack

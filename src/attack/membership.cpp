@@ -8,15 +8,16 @@ namespace caltrain::attack {
 
 namespace {
 
-std::vector<double> TrueLabelConfidences(nn::Network& model,
+std::vector<double> TrueLabelConfidences(const nn::Network& model,
                                          const std::vector<nn::Image>& images,
                                          const std::vector<int>& labels) {
   CALTRAIN_REQUIRE(images.size() == labels.size(),
                    "image/label count mismatch");
   std::vector<double> scores;
   scores.reserve(images.size());
+  nn::LayerWorkspace ws(model);
   for (std::size_t i = 0; i < images.size(); ++i) {
-    const std::vector<float> probs = model.PredictOne(images[i]);
+    const std::vector<float> probs = model.PredictOne(images[i], ws);
     const int label = labels[i];
     CALTRAIN_REQUIRE(label >= 0 &&
                          static_cast<std::size_t>(label) < probs.size(),
@@ -29,7 +30,7 @@ std::vector<double> TrueLabelConfidences(nn::Network& model,
 }  // namespace
 
 MembershipResult ConfidenceThresholdAttack(
-    nn::Network& model, const std::vector<nn::Image>& members,
+    const nn::Network& model, const std::vector<nn::Image>& members,
     const std::vector<int>& member_labels,
     const std::vector<nn::Image>& nonmembers,
     const std::vector<int>& nonmember_labels) {

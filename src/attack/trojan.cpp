@@ -87,13 +87,14 @@ std::vector<nn::Image> StampAll(const std::vector<nn::Image>& images,
   return out;
 }
 
-double AttackSuccessRate(nn::Network& net,
+double AttackSuccessRate(const nn::Network& net,
                          const std::vector<nn::Image>& triggered,
                          int target_class) {
   if (triggered.empty()) return 0.0;
   std::size_t hits = 0;
+  nn::LayerWorkspace ws(net);
   for (const nn::Image& img : triggered) {
-    const auto probs = net.PredictOne(img);
+    const auto probs = net.PredictOne(img, ws);
     if (static_cast<int>(ArgMax(probs)) == target_class) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(triggered.size());

@@ -51,7 +51,7 @@ struct TriggerOptions {
 
 /// Fraction of `triggered` inputs the model classifies as
 /// `target_class` (the attack success rate).
-[[nodiscard]] double AttackSuccessRate(nn::Network& net,
+[[nodiscard]] double AttackSuccessRate(const nn::Network& net,
                                        const std::vector<nn::Image>& triggered,
                                        int target_class);
 

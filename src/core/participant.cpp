@@ -3,7 +3,6 @@
 #include "securechannel/handshake.hpp"
 #include "securechannel/record.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/serial.hpp"
 
 namespace caltrain::core {
@@ -67,8 +66,7 @@ void Participant::ProvisionVia(
   }
 
   // 2. Provision the symmetric data key and the record-signing public
-  // key over the channel (length-prefixed pair; the server also still
-  // accepts a bare 16/32-byte key for sign-less clients).
+  // key over the channel (a length-prefixed pair).
   ByteWriter provision;
   provision.WriteBytes(data_key_);
   const Bytes sign_pub = crypto::U128ToBytes(signing_key_.public_value);
@@ -84,19 +82,6 @@ std::vector<data::EncryptedRecord> Participant::PackRecords() const {
   data::DataPackager packager(id_, data_key_, seed_ ^ 0x9c0ffee,
                               signing_key_);
   return packager.PackAll(local_data_);
-}
-
-std::size_t Participant::ProvisionAndUpload(
-    TrainingServer& server,
-    const crypto::Sha256Digest& expected_measurement) {
-  Provision(server, expected_measurement);
-
-  // 3. Seal every local record with the key and upload.
-  const std::vector<data::EncryptedRecord> records = PackRecords();
-  const std::size_t accepted = server.UploadRecords(records);
-  CALTRAIN_LOG(kInfo) << id_ << " uploaded " << accepted << "/"
-                      << records.size() << " records";
-  return accepted;
 }
 
 int Participant::AssessSemiTrainedModel(nn::Network& semi_trained,

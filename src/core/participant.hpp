@@ -1,8 +1,9 @@
 // A training participant (paper Fig. 1: participants A-D).
 //
-// Owns a private local dataset and a symmetric data key.  The
-// participant attests the server's training enclave, provisions its key
-// over the secure channel, uploads encrypted records, and — after each
+// Owns a private local dataset, a symmetric data key and a record-signing
+// keypair.  The participant attests the server's training enclave,
+// provisions its data key and signing public key over the secure
+// channel, uploads signed encrypted records, and — after each
 // epoch — can run the information-exposure assessment on the released
 // semi-trained model to vote on the FrontNet depth.
 #pragma once
@@ -54,11 +55,11 @@ class Participant {
     return signing_key_.public_value;
   }
 
-  /// Attested handshake + key provisioning only (no upload) — the
-  /// entry point for clients that stream their records through the
-  /// async serving API (serve::Service) instead of the blocking
-  /// UploadRecords call.  Throws Error(kAuthFailure) on attestation or
-  /// provisioning failure.
+  /// Attested handshake, then provisioning of the data key and signing
+  /// public key, in-process against `server`.  Records are uploaded
+  /// separately (serve::Service upload sessions, or
+  /// TrainingServer::AuthenticateRecords + CommitRecords).  Throws
+  /// Error(kAuthFailure) on attestation or provisioning failure.
   void Provision(TrainingServer& server,
                  const crypto::Sha256Digest& expected_measurement);
 
@@ -73,18 +74,9 @@ class Participant {
                     crypto::U128 attestation_public_key,
                     const crypto::Sha256Digest& expected_measurement);
 
-  /// Seals every local record with the provisioned key (upload wire
-  /// form, in local-data order).
+  /// Seals and signs every local record with the provisioned keys
+  /// (upload wire form, in local-data order).
   [[nodiscard]] std::vector<data::EncryptedRecord> PackRecords() const;
-
-  /// Full provisioning flow against `server`: attest (verifying the
-  /// expected measurement against the published attestation key),
-  /// provision the data key, upload encrypted records.  Throws
-  /// Error(kAuthFailure) if attestation fails.  Returns accepted count.
-  /// Thin synchronous adapter over Provision + PackRecords.
-  std::size_t ProvisionAndUpload(
-      TrainingServer& server,
-      const crypto::Sha256Digest& expected_measurement);
 
   /// Participant-side dynamic re-assessment (paper Sec. IV-B): runs the
   /// exposure framework on the semi-trained model with `probes` drawn

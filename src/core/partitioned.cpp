@@ -188,17 +188,20 @@ std::vector<std::vector<float>> PartitionedTrainer::Predict(
   if (front > 0) {
     enclave_.Ecall([&] {
       TouchFrontNet(input.n);
-      net_.ForwardRange(&input, 0, front, enclave_ctx);
+      net_.ForwardRange(&input, 0, front, enclave_ctx, predict_ws_);
     });
     enclave_.Ocall([&] {
-      stats_.ir_bytes_out += net_.ActivationAt(front - 1).TotalBytes();
+      stats_.ir_bytes_out +=
+          predict_ws_.activations[static_cast<std::size_t>(front - 1)]
+              .TotalBytes();
     });
   }
   if (front < out_layer) {
     net_.ForwardRange(front == 0 ? &input : nullptr, front, out_layer,
-                      host_ctx);
+                      host_ctx, predict_ws_);
   }
-  const nn::Batch& out = net_.ActivationAt(out_layer - 1);
+  const nn::Batch& out =
+      predict_ws_.activations[static_cast<std::size_t>(out_layer - 1)];
   std::vector<std::vector<float>> result(static_cast<std::size_t>(input.n));
   for (int s = 0; s < input.n; ++s) {
     result[static_cast<std::size_t>(s)].assign(

@@ -84,6 +84,8 @@ class PartitionedTrainer {
   PartitionStats stats_;
   /// One workspace per shard, reused across batches.
   std::vector<std::unique_ptr<nn::LayerWorkspace>> shard_ws_;
+  /// Workspace of the eval-mode Predict path.
+  nn::LayerWorkspace predict_ws_;
 };
 
 }  // namespace caltrain::core

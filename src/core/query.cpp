@@ -46,13 +46,7 @@ QueryService::QueryService(nn::Network model,
     : model_(std::move(model)),
       database_(std::move(database)),
       fingerprint_layer_(fingerprint_layer < 0 ? model_.PenultimateIndex()
-                                               : fingerprint_layer),
-      ws_(model_) {}
-
-MispredictionReport QueryService::Investigate(const nn::Image& input,
-                                              std::size_t k) {
-  return InvestigateWith(ws_, input, k);
-}
+                                               : fingerprint_layer) {}
 
 MispredictionReport QueryService::InvestigateWith(nn::LayerWorkspace& ws,
                                                   const nn::Image& input,

@@ -29,27 +29,21 @@ class QueryService {
   QueryService(nn::Network model, linkage::LinkageDatabase database,
                int fingerprint_layer = -1);
 
-  /// Investigates one (mis)predicted input: one forward pass yields
-  /// both the prediction and the fingerprint, then the k nearest
-  /// same-class training instances are returned with sources.  Thin
-  /// synchronous adapter over InvestigateWith (the service's reusable
-  /// workspace).
-  [[nodiscard]] MispredictionReport Investigate(const nn::Image& input,
-                                                std::size_t k);
-
-  /// Core of Investigate against a caller-held workspace.  Safe for
-  /// concurrent callers with distinct workspaces: the forward pass
-  /// shares the const model, and the segmented database supports
-  /// concurrent queries — the async serving layer (serve::Service)
-  /// fans these out over the pool.
+  /// Investigates one (mis)predicted input in a caller-held workspace:
+  /// one forward pass yields both the prediction and the fingerprint,
+  /// then the k nearest same-class training instances are returned with
+  /// sources.  Safe for concurrent callers with distinct workspaces: the
+  /// forward pass shares the const model, and the segmented database
+  /// supports concurrent queries — the async serving layer
+  /// (serve::Service) fans these out over the pool.
   [[nodiscard]] MispredictionReport InvestigateWith(nn::LayerWorkspace& ws,
                                                     const nn::Image& input,
                                                     std::size_t k);
 
-  /// Batched Investigate: the per-input forward passes fan out over
-  /// the pool (shared const model, one workspace per worker), then
-  /// every kNN lookup goes through the parallel batched database
-  /// query.  result[i] == Investigate(inputs[i], k), element-wise
+  /// Batched form: the per-input forward passes fan out over the pool
+  /// (shared const model, one workspace per worker), then every kNN
+  /// lookup goes through the parallel batched database query.
+  /// result[i] == InvestigateWith(ws, inputs[i], k), element-wise
   /// identical at every thread count.
   [[nodiscard]] std::vector<MispredictionReport> InvestigateBatch(
       const std::vector<nn::Image>& inputs, std::size_t k);
@@ -68,9 +62,6 @@ class QueryService {
   nn::Network model_;
   linkage::LinkageDatabase database_;
   int fingerprint_layer_;
-  /// Reusable workspace for the serial Investigate path (the batched
-  /// path brings one workspace per worker instead).
-  nn::LayerWorkspace ws_;
 };
 
 }  // namespace caltrain::core

@@ -85,6 +85,17 @@ bool TrainingServer::HandleClientFinished(const std::string& participant_id,
   return true;
 }
 
+std::shared_ptr<const TrainingServer::Credentials>
+TrainingServer::ReadCredentials(ByteReader& reader) {
+  Bytes key = reader.ReadBytes();
+  const crypto::U128 sign_pub = crypto::U128FromBytes(reader.ReadBytesView());
+  CALTRAIN_REQUIRE(key.size() == 16 || key.size() == 32,
+                   "data key must be 16 or 32 bytes");
+  CALTRAIN_REQUIRE(sign_pub >= 2 && sign_pub < crypto::GroupPrime(),
+                   "signing public key out of range");
+  return std::make_shared<const Credentials>(std::move(key), sign_pub);
+}
+
 bool TrainingServer::HandleKeyProvision(const std::string& participant_id,
                                         BytesView record) {
   ParticipantState& state = StateOf(participant_id);
@@ -93,29 +104,17 @@ bool TrainingServer::HandleKeyProvision(const std::string& participant_id,
     const auto payload =
         state.reader->Unprotect(record, BytesOf(participant_id));
     if (!payload.has_value()) return false;
-    // Bare 16/32 bytes = legacy data-key-only provisioning; otherwise
-    // a length-prefixed (data key, signing public key) pair.
-    Bytes key;
-    crypto::U128 sign_pub = 0;
-    if (payload->size() == 16 || payload->size() == 32) {
-      key = *payload;
-    } else {
-      try {
-        ByteReader reader(BytesView(payload->data(), payload->size()));
-        key = reader.ReadBytes();
-        const Bytes sign_pub_bytes = reader.ReadBytes();
-        CALTRAIN_REQUIRE(reader.AtEnd(), "trailing provisioning bytes");
-        sign_pub = crypto::U128FromBytes(
-            BytesView(sign_pub_bytes.data(), sign_pub_bytes.size()));
-      } catch (const Error&) {
-        return false;
-      }
-      if (key.size() != 16 && key.size() != 32) return false;
-      if (sign_pub < 2 || sign_pub >= crypto::GroupPrime()) return false;
+    // A length-prefixed (data key, signing public key) pair.
+    std::shared_ptr<const Credentials> creds;
+    try {
+      ByteReader reader(BytesView(payload->data(), payload->size()));
+      creds = ReadCredentials(reader);
+      CALTRAIN_REQUIRE(reader.AtEnd(), "trailing provisioning bytes");
+    } catch (const Error&) {
+      return false;
     }
     // Publish a fresh immutable snapshot; readers holding the old one
     // (e.g. ingest workers mid-batch) keep it alive via shared_ptr.
-    auto creds = std::make_shared<const Credentials>(key, sign_pub);
     {
       util::WriterLock lock(participants_mu_);
       state.creds = std::move(creds);
@@ -159,10 +158,7 @@ void TrainingServer::RestoreDirectory(BytesView blob, std::uint64_t version) {
   const std::uint32_t count = reader.ReadU32();
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::string id = reader.ReadString();
-    Bytes key = reader.ReadBytes();
-    const crypto::U128 sign_pub = crypto::U128FromBytes(reader.ReadBytes());
-    participants_[id].creds =
-        std::make_shared<const Credentials>(std::move(key), sign_pub);
+    participants_[id].creds = ReadCredentials(reader);
   }
   CALTRAIN_REQUIRE(reader.AtEnd(), "trailing directory snapshot bytes");
   directory_version_.store(version, std::memory_order_release);
@@ -171,11 +167,6 @@ void TrainingServer::RestoreDirectory(BytesView blob, std::uint64_t version) {
 void TrainingServer::RestoreModel(BytesView model_blob, int front_layers) {
   model_ = nn::Network::DeserializeModel(model_blob);
   released_front_layers_ = front_layers;
-}
-
-std::size_t TrainingServer::UploadRecords(
-    const std::vector<data::EncryptedRecord>& records) {
-  return CommitRecords(records, AuthenticateRecords(records, 1));
 }
 
 std::vector<char> TrainingServer::AuthenticateRecords(
@@ -196,45 +187,40 @@ std::vector<char> TrainingServer::AuthenticateRecords(
     const enclave::TransitionGuard transition(*training_enclave_);
 
     // Stage 1: resolve credentials and collect the batch's signature
-    // checks.  Records from signing participants must carry a valid
-    // signature over their wire bytes; one aggregated SchnorrVerifyBatch
-    // replaces a full verification per record.
+    // checks.  Every record must carry a valid signature over its wire
+    // bytes; one aggregated SchnorrVerifyBatch replaces a full
+    // verification per record.
     std::vector<std::size_t> candidate;  // records with credentials
     // Parallel to candidate; shared_ptr copies keep each snapshot alive
     // across the batch even if the participant re-provisions mid-flight.
     std::vector<std::shared_ptr<const Credentials>> cred_of;
-    std::vector<Bytes> signed_bytes;          // keeps messages alive
-    std::vector<crypto::SchnorrBatchItem> sig_items;
-    std::vector<std::size_t> sig_record;  // candidate index per sig item
+    std::vector<Bytes> signed_bytes;  // parallel to candidate
     for (std::size_t i = first; i < last; ++i) {
       if (creds_id == nullptr || records[i].participant_id != *creds_id) {
         creds = CredentialsOf(records[i].participant_id);
         creds_id = &records[i].participant_id;
       }
       if (creds == nullptr) continue;  // unregistered source
-      if (creds->sign_pub != 0) {
-        if (records[i].signature.size() != 32) continue;  // missing/mangled
-        signed_bytes.push_back(records[i].SignedPortion());
-        sig_record.push_back(candidate.size());
-      }
+      if (records[i].signature.size() != 32) continue;  // missing/mangled
+      signed_bytes.push_back(records[i].SignedPortion());
       candidate.push_back(i);
       cred_of.push_back(creds);
     }
     // signed_bytes stops reallocating here, so views into it are stable.
-    std::vector<char> sig_ok(candidate.size(), 1);
-    for (std::size_t k = 0; k < sig_record.size(); ++k) {
-      const std::size_t i = candidate[sig_record[k]];
-      crypto::SchnorrBatchItem item;
-      item.public_value = cred_of[sig_record[k]]->sign_pub;
-      item.message = BytesView(signed_bytes[k].data(), signed_bytes[k].size());
-      item.signature = crypto::DeserializeSignature(
-          BytesView(records[i].signature.data(), records[i].signature.size()));
-      sig_items.push_back(item);
+    std::vector<crypto::SchnorrBatchItem> sig_items(candidate.size());
+    for (std::size_t c = 0; c < candidate.size(); ++c) {
+      const Bytes& signature = records[candidate[c]].signature;
+      sig_items[c].public_value = cred_of[c]->sign_pub;
+      sig_items[c].message =
+          BytesView(signed_bytes[c].data(), signed_bytes[c].size());
+      sig_items[c].signature = crypto::DeserializeSignature(
+          BytesView(signature.data(), signature.size()));
     }
+    std::vector<char> sig_ok(candidate.size(), 1);
     if (!sig_items.empty()) {
       for (const std::size_t bad : crypto::SchnorrVerifyBatch(
                std::span<const crypto::SchnorrBatchItem>(sig_items))) {
-        sig_ok[sig_record[bad]] = 0;
+        sig_ok[bad] = 0;
       }
     }
 
@@ -512,10 +498,8 @@ TrainingServer::ReleasedModel TrainingServer::ReleaseModelFor(
 
 nn::Network TrainingServer::AssembleReleasedModel(const ReleasedModel& released,
                                                   BytesView participant_key) {
-  ByteReader spec_reader(released.spec_blob);
-  const nn::NetworkSpec spec = nn::NetworkSpec::Deserialize(spec_reader);
-  nn::Network net(spec);
-
+  // Authenticate the FrontNet before decoding anything the server sent
+  // in the clear.
   const crypto::AesGcm cipher(participant_key);
   CALTRAIN_REQUIRE(released.frontnet_tag.size() == crypto::kGcmTagSize,
                    "bad released-model tag");
@@ -530,12 +514,12 @@ nn::Network TrainingServer::AssembleReleasedModel(const ReleasedModel& released,
     ThrowError(ErrorKind::kAuthFailure,
                "FrontNet decryption failed (wrong participant key?)");
   }
-  if (released.front_layers > 0) {
-    net.DeserializeWeightRange(0, released.front_layers, *frontnet);
-  }
-  net.DeserializeWeightRange(released.front_layers, net.NumLayers(),
-                             released.backnet_weights);
-  return net;
+  // Spec, FrontNet weights, BackNet weights: the SerializeModel layout.
+  Bytes model = released.spec_blob;
+  model.insert(model.end(), frontnet->begin(), frontnet->end());
+  model.insert(model.end(), released.backnet_weights.begin(),
+               released.backnet_weights.end());
+  return nn::Network::DeserializeModel(model);
 }
 
 }  // namespace caltrain::core

@@ -100,9 +100,10 @@ class TrainingServer {
                                         BytesView client_hello);
   [[nodiscard]] bool HandleClientFinished(const std::string& participant_id,
                                           BytesView client_finished);
-  /// The first record on the established channel is the participant's
-  /// 32-byte symmetric data key.  Returns false (and provisions nothing)
-  /// on any channel failure.
+  /// The first record on the established channel carries the
+  /// participant's symmetric data key and record-signing public key.
+  /// Returns false (and provisions nothing) on any channel failure or
+  /// malformed pair.
   [[nodiscard]] bool HandleKeyProvision(const std::string& participant_id,
                                         BytesView record);
 
@@ -126,7 +127,9 @@ class TrainingServer {
 
   /// Rebuilds the participant directory from SerializeDirectory output
   /// and pins the version counter.  Recovery-only: requires an empty
-  /// directory (no provisioned participants yet).
+  /// directory (no provisioned participants yet).  Throws
+  /// Error(kInvalidArgument) on a credential pair HandleKeyProvision
+  /// would refuse.
   void RestoreDirectory(BytesView blob, std::uint64_t version);
 
   /// Installs a model snapshot (Network::SerializeModel bytes) and the
@@ -138,19 +141,12 @@ class TrainingServer {
   }
 
   // --- phase 2: encrypted data upload ----------------------------------
-  /// Authenticates each record inside the enclave; failures are counted
-  /// and discarded.  Returns the number of accepted records.  Thin
-  /// synchronous adapter over the batched core below (one record per
-  /// transition, matching the historical per-record ECALL accounting);
-  /// the async ingest pipeline (serve::Service) authenticates with
-  /// larger batches to amortize the transition cost.  Thread-safe for
-  /// concurrent upload sessions.
-  std::size_t UploadRecords(const std::vector<data::EncryptedRecord>& records);
-
-  /// Batched authentication core: verifies each record against its
-  /// provisioned key, `batch_size` records per enclave transition (one
-  /// enclave::TransitionGuard per batch).  Returns per-record accept
-  /// flags; commits nothing.  Thread-safe for concurrent callers.
+  /// Authenticates each record inside the enclave: its Schnorr
+  /// signature against the provisioned signing key (a record without
+  /// one is rejected), then its GCM tag and instance header against the
+  /// provisioned data key.  `batch_size` records per enclave transition
+  /// (one enclave::TransitionGuard per batch).  Returns per-record
+  /// accept flags; commits nothing.  Thread-safe for concurrent callers.
   [[nodiscard]] std::vector<char> AuthenticateRecords(
       const std::vector<data::EncryptedRecord>& records,
       std::size_t batch_size);
@@ -158,8 +154,8 @@ class TrainingServer {
   /// Appends the accepted records to the training set and folds the
   /// rest into the rejection counter; returns the number accepted.
   /// Thread-safe; the relative order of concurrent commits is the
-  /// caller's contract (serve::Service commits in ticket order so the
-  /// async path reproduces the synchronous record order bit-for-bit).
+  /// caller's contract (serve::Service commits in ticket order, so the
+  /// record order is the submission order at any thread count).
   std::size_t CommitRecords(const std::vector<data::EncryptedRecord>& records,
                             const std::vector<char>& accepted);
 
@@ -222,15 +218,20 @@ class TrainingServer {
   /// participant re-provisions (which swaps in a *new* Credentials
   /// object instead of mutating this one).
   struct Credentials {
-    explicit Credentials(Bytes key, crypto::U128 signing_pub = 0)
+    Credentials(Bytes key, crypto::U128 signing_pub)
         : data_key(std::move(key)), cipher(data_key), sign_pub(signing_pub) {}
     Bytes data_key;         ///< provisioned symmetric key (enclave-held)
     crypto::AesGcm cipher;  ///< cached key schedule
-    /// Record-signing public key; 0 when the participant provisioned
-    /// only a data key, in which case upload signatures are not
-    /// required and authentication rests on the GCM tag alone.
-    crypto::U128 sign_pub = 0;
+    /// Record-signing public key every upload is verified against.
+    crypto::U128 sign_pub;
   };
+
+  /// Reads a (data key, signing public key) pair as provisioning and
+  /// the directory snapshot both encode it.  Throws
+  /// Error(kInvalidArgument) unless the key is 16 or 32 bytes and the
+  /// public key lies in [2, p).
+  [[nodiscard]] static std::shared_ptr<const Credentials> ReadCredentials(
+      ByteReader& reader);
 
   struct ParticipantState {
     std::unique_ptr<securechannel::ServerHandshake> handshake;

@@ -163,7 +163,7 @@ crypto::Sha256Digest HashTrainingInstance(const nn::Image& image, int label) {
 
 DataPackager::DataPackager(std::string participant_id, BytesView key,
                            std::uint64_t nonce_seed,
-                           std::optional<crypto::SchnorrKeyPair> signing_key)
+                           const crypto::SchnorrKeyPair& signing_key)
     : participant_id_(std::move(participant_id)),
       cipher_(key),
       nonce_drbg_(SeedBytes(nonce_seed), BytesOf(participant_id_)),
@@ -179,12 +179,9 @@ EncryptedRecord DataPackager::Pack(const nn::Image& image, int label) {
       cipher_.Seal(record.iv, RecordAad(participant_id_, label), plaintext);
   record.ciphertext = sealed.ciphertext;
   record.tag.assign(sealed.tag.begin(), sealed.tag.end());
-  if (signing_key_.has_value()) {
-    const Bytes covered = record.SignedPortion();
-    record.signature = crypto::SerializeSignature(crypto::SchnorrSign(
-        *signing_key_, BytesView(covered.data(), covered.size()),
-        nonce_drbg_));
-  }
+  const Bytes covered = record.SignedPortion();
+  record.signature = crypto::SerializeSignature(crypto::SchnorrSign(
+      signing_key_, BytesView(covered.data(), covered.size()), nonce_drbg_));
   return record;
 }
 
@@ -196,11 +193,6 @@ std::vector<EncryptedRecord> DataPackager::PackAll(
     out.push_back(Pack(dataset.images[i], dataset.labels[i]));
   }
   return out;
-}
-
-std::optional<VerifiedRecord> OpenRecord(const EncryptedRecord& record,
-                                         BytesView key) {
-  return OpenRecord(record, crypto::AesGcm(key));
 }
 
 std::optional<VerifiedRecord> OpenRecord(const EncryptedRecord& record,

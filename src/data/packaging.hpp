@@ -5,9 +5,12 @@
 // label travels in the clear (participants "release the training data
 // labels attached to their corresponding (encrypted) training
 // instances") but is covered by the authentication tag via the AAD, so
-// a label cannot be flipped in transit.  The enclave verifies the tag
-// with the provisioned key — records from unregistered sources or
-// tampered channels fail authentication and are discarded.
+// a label cannot be flipped in transit.  Each record is also signed with
+// the participant's Schnorr key, which binds it to its contributor in a
+// way the server, holding only the public half, cannot forge.  The
+// enclave verifies signature and tag with the provisioned keys —
+// records from unregistered sources or tampered channels fail
+// authentication and are discarded.
 #pragma once
 
 #include <optional>
@@ -30,10 +33,10 @@ struct EncryptedRecord {
   Bytes iv;                    ///< 12-byte GCM nonce
   Bytes ciphertext;            ///< encrypted serialized image
   Bytes tag;                   ///< 16-byte GCM tag
-  /// Optional 32-byte Schnorr signature over SignedPortion(), made with
-  /// the participant's provisioned signing key.  Empty for participants
-  /// that provision only a data key (legacy flow); the server then
-  /// authenticates via the GCM tag alone.
+  /// 32-byte Schnorr signature over SignedPortion(), made with the
+  /// participant's provisioned signing key.  Required: the wire and WAL
+  /// forms still decode a record without one, and authentication
+  /// rejects it.
   Bytes signature;
 
   /// The bytes the upload signature covers: every field except the
@@ -78,16 +81,15 @@ struct InstanceHeader {
 [[nodiscard]] crypto::Sha256Digest HashTrainingInstance(const nn::Image& image,
                                                         int label);
 
-/// Participant-side packer: one per participant, bound to its key.
-/// With a signing key attached, every packed record also carries a
-/// Schnorr signature over its wire bytes, which the server verifies in
-/// aggregated batches (crypto::SchnorrVerifyBatch) on the ingest path.
+/// Participant-side packer: one per participant, bound to its keys.
+/// Every packed record carries a Schnorr signature over its wire bytes,
+/// which the server verifies in aggregated batches
+/// (crypto::SchnorrVerifyBatch) on the ingest path.
 class DataPackager {
  public:
   DataPackager(std::string participant_id, BytesView key,
                std::uint64_t nonce_seed,
-               std::optional<crypto::SchnorrKeyPair> signing_key =
-                   std::nullopt);
+               const crypto::SchnorrKeyPair& signing_key);
 
   [[nodiscard]] EncryptedRecord Pack(const nn::Image& image, int label);
 
@@ -103,19 +105,14 @@ class DataPackager {
   std::string participant_id_;
   crypto::AesGcm cipher_;
   crypto::HmacDrbg nonce_drbg_;
-  std::optional<crypto::SchnorrKeyPair> signing_key_;
+  crypto::SchnorrKeyPair signing_key_;
 };
 
 /// Enclave-side opener: verifies authenticity/integrity with the
-/// provisioned key and decrypts.  Returns nullopt when the record fails
-/// authentication (forged source, bit-flips, flipped label) — the
-/// caller must discard it (paper: "injected training data from
-/// unregistered training participants will be discarded").
-[[nodiscard]] std::optional<VerifiedRecord> OpenRecord(
-    const EncryptedRecord& record, BytesView key);
-
-/// Same, with a caller-held cipher (avoids re-deriving the AES key
-/// schedule and GHASH tables per record on hot paths).
+/// provisioned key's cipher and decrypts.  Returns nullopt when the
+/// record fails authentication (forged source, bit-flips, flipped
+/// label) — the caller must discard it (paper: "injected training data
+/// from unregistered training participants will be discarded").
 [[nodiscard]] std::optional<VerifiedRecord> OpenRecord(
     const EncryptedRecord& record, const crypto::AesGcm& cipher);
 

@@ -4,19 +4,6 @@
 
 namespace caltrain::linkage {
 
-Fingerprint ExtractFingerprint(nn::Network& net, const nn::Image& image) {
-  Fingerprint embedding = net.EmbeddingOf(image);
-  L2NormalizeInPlace(embedding);
-  return embedding;
-}
-
-Fingerprint ExtractFingerprintAt(nn::Network& net, const nn::Image& image,
-                                 int layer) {
-  Fingerprint embedding = net.EmbeddingAtLayer(image, layer);
-  L2NormalizeInPlace(embedding);
-  return embedding;
-}
-
 Fingerprint ExtractFingerprintAt(const nn::Network& net,
                                  const nn::Image& image, int layer,
                                  nn::LayerWorkspace& ws) {

@@ -16,20 +16,11 @@ namespace caltrain::linkage {
 
 using Fingerprint = std::vector<float>;
 
-/// Extracts the normalized penultimate-layer embedding of `image`.
-[[nodiscard]] Fingerprint ExtractFingerprint(nn::Network& net,
-                                             const nn::Image& image);
-
-/// Extracts a normalized embedding from an arbitrary layer.  The paper
-/// fingerprints the penultimate layer; for networks with few classes a
-/// wider feature layer carries more within-class structure (see the
-/// fingerprint-layer ablation bench).
-[[nodiscard]] Fingerprint ExtractFingerprintAt(nn::Network& net,
-                                               const nn::Image& image,
-                                               int layer);
-
-/// Thread-safe variant: const forward pass through `ws` against the
-/// shared network (no model replica, no mutation of `net`).
+/// Extracts the normalized embedding of `image` at `layer` with a const
+/// forward pass through `ws` against the shared network.  The paper
+/// fingerprints the penultimate layer (Network::PenultimateIndex); for
+/// networks with few classes a wider feature layer carries more
+/// within-class structure (see the fingerprint-layer ablation bench).
 [[nodiscard]] Fingerprint ExtractFingerprintAt(const nn::Network& net,
                                                const nn::Image& image,
                                                int layer,

@@ -116,7 +116,9 @@ class LinkageDatabase {
       const Fingerprint& query, int label, std::size_t k) const;
 
   /// Does nothing: there is no index to build.  Kept only because
-  /// perfbench/src/{train,investigate}.cpp still call it; delete it
+  /// perfbench/src/{train,investigate}.cpp name it inside
+  /// `if constexpr (requires { db.RebuildIndexes(); })`, which is a hard
+  /// error outside a template once the member is gone; delete it
   /// together with those calls.
   void RebuildIndexes() const noexcept {}
 

@@ -1,5 +1,7 @@
 #include "nn/network.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "nn/connected.hpp"
@@ -47,33 +49,84 @@ void NetworkSpec::Serialize(ByteWriter& writer) const {
   }
 }
 
+namespace {
+
+/// Bound on every decoded dimension, so the shape arithmetic below and
+/// in the layer constructors stays far from int overflow.
+constexpr std::uint32_t kMaxSpecDim = 1U << 16;
+/// Serialized bytes of one LayerSpec (two u8 fields, five 4-byte ones).
+constexpr std::size_t kLayerSpecBytes = 22;
+
+int ReadDim(ByteReader& reader, bool allow_zero) {
+  const std::uint32_t value = reader.ReadU32();
+  CALTRAIN_REQUIRE((allow_zero || value > 0) && value <= kMaxSpecDim,
+                   "model spec dimension out of range");
+  return static_cast<int>(value);
+}
+
+/// Weight + bias count of a conv or connected layer over input `in`
+/// (0 for the unweighted kinds), saturating at SIZE_MAX.
+std::size_t WeightCount(const LayerSpec& l, Shape in) {
+  const auto dim = [](int v) {
+    return static_cast<std::size_t>(std::max(v, 0));
+  };
+  std::size_t units = 0;
+  std::size_t per_unit = 0;
+  if (l.kind == LayerKind::kConv) {
+    units = dim(l.filters);
+    per_unit = dim(in.c) * dim(l.ksize) * dim(l.ksize) + 1;
+  } else if (l.kind == LayerKind::kConnected) {
+    units = dim(l.outputs);
+    per_unit = dim(in.w) * dim(in.h) * dim(in.c) + 1;
+  }
+  std::size_t count = 0;
+  return __builtin_mul_overflow(units, per_unit, &count) ? SIZE_MAX : count;
+}
+
+}  // namespace
+
 NetworkSpec NetworkSpec::Deserialize(ByteReader& reader) {
   NetworkSpec spec;
-  spec.input.w = static_cast<int>(reader.ReadU32());
-  spec.input.h = static_cast<int>(reader.ReadU32());
-  spec.input.c = static_cast<int>(reader.ReadU32());
+  spec.input.w = ReadDim(reader, false);
+  spec.input.h = ReadDim(reader, false);
+  spec.input.c = ReadDim(reader, false);
   const std::uint32_t count = reader.ReadU32();
+  CALTRAIN_REQUIRE(count <= reader.remaining() / kLayerSpecBytes,
+                   "model spec layer count exceeds the blob");
   spec.layers.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     LayerSpec l;
-    l.kind = static_cast<LayerKind>(reader.ReadU8());
-    l.filters = static_cast<int>(reader.ReadU32());
-    l.ksize = static_cast<int>(reader.ReadU32());
-    l.stride = static_cast<int>(reader.ReadU32());
-    l.activation = static_cast<Activation>(reader.ReadU8());
+    const std::uint8_t kind = reader.ReadU8();
+    CALTRAIN_REQUIRE(kind <= static_cast<std::uint8_t>(LayerKind::kCost),
+                     "unknown layer kind in model spec");
+    l.kind = static_cast<LayerKind>(kind);
+    l.filters = ReadDim(reader, true);
+    l.ksize = ReadDim(reader, true);
+    l.stride = ReadDim(reader, true);
+    const std::uint8_t activation = reader.ReadU8();
+    CALTRAIN_REQUIRE(
+        activation <= static_cast<std::uint8_t>(Activation::kLeakyRelu),
+        "unknown activation in model spec");
+    l.activation = static_cast<Activation>(activation);
     l.dropout_p = reader.ReadF32();
-    l.outputs = static_cast<int>(reader.ReadU32());
+    l.outputs = ReadDim(reader, true);
     spec.layers.push_back(l);
   }
   return spec;
 }
 
-Network::Network(const NetworkSpec& spec) : spec_(spec) {
+Network::Network(const NetworkSpec& spec) : Network(spec, SIZE_MAX) {}
+
+Network::Network(const NetworkSpec& spec, std::size_t weight_bytes)
+    : spec_(spec) {
   CALTRAIN_REQUIRE(!spec.layers.empty(), "network needs at least one layer");
   Shape current = spec.input;
-  bool saw_softmax = false;
   for (std::size_t i = 0; i < spec.layers.size(); ++i) {
     const LayerSpec& l = spec.layers[i];
+    const std::size_t floats = WeightCount(l, current);
+    CALTRAIN_REQUIRE(floats <= weight_bytes / sizeof(float),
+                     "model spec declares more weights than its blob holds");
+    weight_bytes -= floats * sizeof(float);
     switch (l.kind) {
       case LayerKind::kConv:
         layers_.push_back(std::make_unique<ConvLayer>(
@@ -96,7 +149,6 @@ Network::Network(const NetworkSpec& spec) : spec_(spec) {
         break;
       case LayerKind::kSoftmax:
         layers_.push_back(std::make_unique<SoftmaxLayer>(current));
-        saw_softmax = true;
         break;
       case LayerKind::kCost:
         CALTRAIN_REQUIRE(
@@ -104,11 +156,11 @@ Network::Network(const NetworkSpec& spec) : spec_(spec) {
             "cost layer must directly follow softmax (combined gradient)");
         layers_.push_back(std::make_unique<CostLayer>(current));
         break;
+      default:
+        ThrowError(ErrorKind::kInvalidArgument, "unknown layer kind");
     }
     current = layers_.back()->out_shape();
   }
-  (void)saw_softmax;
-  default_ws_.Reset(*this);
 }
 
 void Network::InitWeights(Rng& rng) {
@@ -152,7 +204,9 @@ void Network::ForwardRange(const Batch* input, int from, int to,
                            const LayerContext& ctx, LayerWorkspace& ws) const {
   CheckRange(from, to);
   if (static_cast<int>(ws.activations.size()) != NumLayers()) {
+    Batch staged = std::move(ws.input);  // the caller may pass &ws.input
     ws.Reset(*this);
+    ws.input = std::move(staged);
   }
   const Batch* current;
   if (from == 0) {
@@ -222,45 +276,6 @@ void Network::UpdateRange(int from, int to, const SgdConfig& config,
   }
 }
 
-void Network::ForwardRange(const Batch* input, int from, int to,
-                           const LayerContext& ctx) {
-  ForwardRange(input, from, to, ctx, default_ws_);
-}
-
-void Network::BackwardRange(int from, int to, const LayerContext& ctx) {
-  BackwardRange(from, to, ctx, default_ws_);
-}
-
-void Network::UpdateRange(int from, int to, const SgdConfig& config,
-                          int batch_size) {
-  UpdateRange(from, to, config, batch_size, default_ws_.grads);
-}
-
-const Batch& Network::ActivationAt(int i) const {
-  CALTRAIN_REQUIRE(i >= 0 && i < NumLayers(), "layer index out of range");
-  return default_ws_.activations[static_cast<std::size_t>(i)];
-}
-
-const Batch& Network::DeltaAt(int i) const {
-  CALTRAIN_REQUIRE(i >= 0 && i < NumLayers(), "layer index out of range");
-  return default_ws_.deltas[static_cast<std::size_t>(i)];
-}
-
-void Network::SetActivationAt(int i, Batch batch) {
-  CALTRAIN_REQUIRE(i >= 0 && i < NumLayers(), "layer index out of range");
-  CALTRAIN_REQUIRE(batch.shape == layers_[static_cast<std::size_t>(i)]->out_shape(),
-                   "activation shape mismatch");
-  default_ws_.batch = batch.n;
-  default_ws_.activations[static_cast<std::size_t>(i)] = std::move(batch);
-}
-
-void Network::SetDeltaAt(int i, Batch batch) {
-  CALTRAIN_REQUIRE(i >= 0 && i < NumLayers(), "layer index out of range");
-  CALTRAIN_REQUIRE(batch.shape == layers_[static_cast<std::size_t>(i)]->out_shape(),
-                   "delta shape mismatch");
-  default_ws_.deltas[static_cast<std::size_t>(i)] = std::move(batch);
-}
-
 float Network::TrainStep(const Batch& input, const std::vector<int>& labels,
                          const SgdConfig& config, Rng& rng,
                          KernelProfile profile) {
@@ -299,22 +314,19 @@ float Network::TrainStep(const Batch& input, const std::vector<int>& labels,
   // Fixed-order gradient reduction: shard order, never thread order.
   UpdateRange(0, total, config, input.n,
               ReduceShardGrads(shard_ws_, shards.size()));
-  const float loss = SumShardLosses(shard_ws_, shards.size(), cost, input.n);
-  // Keep the documented TrainStep -> LastLoss() pairing working even
-  // though the pass ran in the shard workspaces.
-  default_ws_.scratch[static_cast<std::size_t>(cost)].loss = loss;
-  return loss;
+  return SumShardLosses(shard_ws_, shards.size(), cost, input.n);
 }
 
 void Network::ReleaseTrainingWorkspaces() noexcept { shard_ws_.clear(); }
 
 std::vector<std::vector<float>> Network::Predict(const Batch& input,
-                                                 KernelProfile profile) {
+                                                 LayerWorkspace& ws,
+                                                 KernelProfile profile) const {
   LayerContext ctx;
   ctx.profile = profile;
   const int out_layer = SoftmaxIndex() >= 0 ? SoftmaxIndex() + 1 : NumLayers();
-  ForwardRange(&input, 0, out_layer, ctx);
-  const Batch& out = default_ws_.activations[static_cast<std::size_t>(out_layer - 1)];
+  ForwardRange(&input, 0, out_layer, ctx, ws);
+  const Batch& out = ws.activations[static_cast<std::size_t>(out_layer - 1)];
   std::vector<std::vector<float>> result(static_cast<std::size_t>(input.n));
   for (int s = 0; s < input.n; ++s) {
     result[static_cast<std::size_t>(s)].assign(
@@ -323,21 +335,21 @@ std::vector<std::vector<float>> Network::Predict(const Batch& input,
   return result;
 }
 
-std::vector<float> Network::PredictOne(const Image& image,
-                                       KernelProfile profile) {
-  Batch batch(1, image.shape);
-  batch.data = image.pixels;
-  return Predict(batch, profile).front();
+namespace {
+/// Loads one image into ws.input, reusing its buffer when the shape
+/// already matches.
+void LoadSingle(const Image& image, LayerWorkspace& ws) {
+  if (ws.input.n != 1 || ws.input.shape != image.shape) {
+    ws.input = Batch(1, image.shape);
+  }
+  ws.input.data = image.pixels;
 }
+}  // namespace
 
-std::vector<float> Network::EmbeddingOf(const Image& image,
-                                        KernelProfile profile) {
-  return EmbeddingAtLayer(image, PenultimateIndex(), profile);
-}
-
-std::vector<float> Network::EmbeddingAtLayer(const Image& image, int layer,
-                                             KernelProfile profile) {
-  return EmbeddingAtLayer(image, layer, profile, default_ws_);
+std::vector<float> Network::PredictOne(const Image& image, LayerWorkspace& ws,
+                                       KernelProfile profile) const {
+  LoadSingle(image, ws);
+  return Predict(ws.input, ws, profile).front();
 }
 
 std::vector<float> Network::EmbeddingAtLayer(const Image& image, int layer,
@@ -347,31 +359,25 @@ std::vector<float> Network::EmbeddingAtLayer(const Image& image, int layer,
                    "embedding layer out of range");
   LayerContext ctx;
   ctx.profile = profile;
-  if (ws.input.n != 1 || ws.input.shape != image.shape) {
-    ws.input = Batch(1, image.shape);
-  }
-  ws.input.data = image.pixels;
+  LoadSingle(image, ws);
   ForwardRange(&ws.input, 0, layer + 1, ctx, ws);
   const Batch& out = ws.activations[static_cast<std::size_t>(layer)];
   return std::vector<float>(out.data.begin(), out.data.end());
 }
 
 std::vector<std::vector<float>> Network::AllActivations(
-    const Image& image, KernelProfile profile) {
+    const Image& image, LayerWorkspace& ws, KernelProfile profile) const {
   LayerContext ctx;
   ctx.profile = profile;
-  Batch batch(1, image.shape);
-  batch.data = image.pixels;
-  ForwardRange(&batch, 0, NumLayers(), ctx);
+  LoadSingle(image, ws);
+  ForwardRange(&ws.input, 0, NumLayers(), ctx, ws);
   std::vector<std::vector<float>> result;
   result.reserve(layers_.size());
-  for (const Batch& act : default_ws_.activations) {
+  for (const Batch& act : ws.activations) {
     result.emplace_back(act.data.begin(), act.data.end());
   }
   return result;
 }
-
-float Network::LastLoss() const { return LossOf(default_ws_); }
 
 float Network::LossOf(const LayerWorkspace& ws) const {
   const int cost = CostIndex();
@@ -391,7 +397,7 @@ Bytes Network::SerializeModel() const {
 Network Network::DeserializeModel(BytesView blob) {
   ByteReader reader(blob);
   const NetworkSpec spec = NetworkSpec::Deserialize(reader);
-  Network net(spec);
+  Network net(spec, reader.remaining());
   for (auto& layer : net.layers_) layer->DeserializeWeights(reader);
   CALTRAIN_REQUIRE(reader.AtEnd(), "trailing bytes after model blob");
   return net;

@@ -8,11 +8,10 @@
 // deltas across the boundary.  The convenience Train/Predict helpers
 // run the whole stack.
 //
-// Each range primitive exists in two forms: a const overload taking an
-// explicit LayerWorkspace (thread-safe — a const Network is shareable
-// across workers, each with its own workspace) and a legacy overload
-// bound to the network's built-in default workspace for single-threaded
-// convenience callers.  TrainStep is the deterministic data-parallel
+// Every execution entry point is const and runs in a LayerWorkspace the
+// caller holds, so one Network is shareable across workers, each with
+// its own workspace; only UpdateRange and TrainStep mutate the weights.
+// TrainStep is the deterministic data-parallel
 // SGD step: the batch is decomposed into fixed-size shards (never a
 // function of the thread count), each shard runs forward/backward in
 // its own workspace with its own derived RNG stream, and gradients are
@@ -48,7 +47,11 @@ struct NetworkSpec {
   std::vector<LayerSpec> layers;
 
   void Serialize(ByteWriter& writer) const;
+  /// Throws Error(kInvalidArgument) on an unknown layer kind or
+  /// activation, a dimension outside [0, 2^16] (input dims must be
+  /// positive), or a layer count the remaining bytes cannot hold.
   [[nodiscard]] static NetworkSpec Deserialize(ByteReader& reader);
+
 };
 
 class Network {
@@ -98,27 +101,6 @@ class Network {
   void UpdateRange(int from, int to, const SgdConfig& config, int batch_size,
                    GradientAccumulator& grads);
 
-  // --- range execution (built-in default workspace) --------------------
-  void ForwardRange(const Batch* input, int from, int to,
-                    const LayerContext& ctx);
-  void BackwardRange(int from, int to, const LayerContext& ctx);
-  void UpdateRange(int from, int to, const SgdConfig& config, int batch_size);
-
-  /// Output activation of layer i for the current batch.
-  [[nodiscard]] const Batch& ActivationAt(int i) const;
-  /// dL/d(output of layer i) for the current batch.
-  [[nodiscard]] const Batch& DeltaAt(int i) const;
-  /// Overwrites the cached activation of layer i (used when IRs re-enter
-  /// across the enclave boundary).
-  void SetActivationAt(int i, Batch batch);
-  /// Overwrites the cached delta of layer i.
-  void SetDeltaAt(int i, Batch batch);
-  /// dL/d(network input) after a BackwardRange that reached layer 0
-  /// (used by gradient-based input reconstruction, attack/inversion.hpp).
-  [[nodiscard]] const Batch& InputDelta() const noexcept {
-    return default_ws_.input_delta;
-  }
-
   // --- convenience ----------------------------------------------------
   /// One deterministic data-parallel SGD step on a labeled batch (full
   /// stack, single profile): fixed-size shards, per-shard workspaces
@@ -133,26 +115,19 @@ class Network {
   /// finished and the network will only serve inference.
   void ReleaseTrainingWorkspaces() noexcept;
 
-  /// Class probabilities for a batch (eval mode).
+  /// Class probabilities for a batch (eval mode), computed in `ws`.
   [[nodiscard]] std::vector<std::vector<float>> Predict(
-      const Batch& input, KernelProfile profile = KernelProfile::kFast);
+      const Batch& input, LayerWorkspace& ws,
+      KernelProfile profile = KernelProfile::kFast) const;
 
-  /// Probabilities for a single image.
+  /// Probabilities for a single image, computed in `ws`.
   [[nodiscard]] std::vector<float> PredictOne(
-      const Image& image, KernelProfile profile = KernelProfile::kFast);
+      const Image& image, LayerWorkspace& ws,
+      KernelProfile profile = KernelProfile::kFast) const;
 
-  /// Raw (unnormalized) penultimate-layer embedding for one image.
-  [[nodiscard]] std::vector<float> EmbeddingOf(
-      const Image& image, KernelProfile profile = KernelProfile::kFast);
-
-  /// Raw embedding taken at an arbitrary layer's output.
-  [[nodiscard]] std::vector<float> EmbeddingAtLayer(
-      const Image& image, int layer,
-      KernelProfile profile = KernelProfile::kFast);
-
-  /// Thread-safe embedding extraction: const forward into an explicit
-  /// workspace (the replica-free fingerprint stage runs many workers
-  /// against one shared network this way).
+  /// Raw (unnormalized) embedding taken at `layer`'s output for one
+  /// image (the fingerprint stage runs many workers against one shared
+  /// network this way, each with its own workspace).
   [[nodiscard]] std::vector<float> EmbeddingAtLayer(
       const Image& image, int layer, KernelProfile profile,
       LayerWorkspace& ws) const;
@@ -160,13 +135,11 @@ class Network {
   /// Activations of every layer for one image (the IRs of Sec. IV-B's
   /// assessment framework).  Entry i is the output of layer i.
   [[nodiscard]] std::vector<std::vector<float>> AllActivations(
-      const Image& image, KernelProfile profile = KernelProfile::kFast);
+      const Image& image, LayerWorkspace& ws,
+      KernelProfile profile = KernelProfile::kFast) const;
 
-  /// Mean cross-entropy loss recorded by the cost layer on the most
-  /// recent labeled forward pass through the default workspace.
-  [[nodiscard]] float LastLoss() const;
-
-  /// Same, read from an explicit workspace.
+  /// Mean cross-entropy loss the cost layer recorded on the most recent
+  /// labeled forward pass through `ws`.
   [[nodiscard]] float LossOf(const LayerWorkspace& ws) const;
 
   /// Index of the cost layer, or -1.
@@ -175,6 +148,9 @@ class Network {
   // --- persistence -----------------------------------------------------
   /// Serializes spec + all weights.
   [[nodiscard]] Bytes SerializeModel() const;
+  /// Throws Error(kInvalidArgument) on any malformed blob, including a
+  /// spec that declares more weights than the blob holds (checked
+  /// before the layer that would allocate them is built).
   [[nodiscard]] static Network DeserializeModel(BytesView blob);
 
   /// Serializes the weights of layers [from, to) only (used to release
@@ -192,12 +168,13 @@ class Network {
   [[nodiscard]] std::size_t WeightBytes(int from, int to) const;
 
  private:
+  /// Builds the layers, refusing (before allocating) a layer whose
+  /// weights would take the running total past `weight_bytes`.
+  Network(const NetworkSpec& spec, std::size_t weight_bytes);
   void CheckRange(int from, int to) const;
 
   NetworkSpec spec_;
   std::vector<LayerPtr> layers_;
-  /// Workspace behind the legacy single-threaded convenience API.
-  LayerWorkspace default_ws_;
   /// Per-shard workspaces reused across TrainStep calls.
   std::vector<std::unique_ptr<LayerWorkspace>> shard_ws_;
 };

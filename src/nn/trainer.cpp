@@ -8,7 +8,7 @@
 
 namespace caltrain::nn {
 
-double EvaluateTopK(Network& net, const std::vector<Image>& images,
+double EvaluateTopK(const Network& net, const std::vector<Image>& images,
                     const std::vector<int>& labels, std::size_t k,
                     KernelProfile profile) {
   CALTRAIN_REQUIRE(images.size() == labels.size(),
@@ -18,10 +18,11 @@ double EvaluateTopK(Network& net, const std::vector<Image>& images,
   std::size_t correct = 0;
   std::vector<std::size_t> order(images.size());
   std::iota(order.begin(), order.end(), 0);
+  LayerWorkspace ws(net);
   for (std::size_t first = 0; first < images.size(); first += kEvalBatch) {
     const std::size_t count = std::min(kEvalBatch, images.size() - first);
     const Batch batch = PackBatch(images, order, first, count);
-    const auto probs = net.Predict(batch, profile);
+    const auto probs = net.Predict(batch, ws, profile);
     for (std::size_t i = 0; i < count; ++i) {
       const int label = labels[first + i];
       if (InTopK(probs[i], static_cast<std::size_t>(label), k)) ++correct;

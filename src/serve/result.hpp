@@ -1,7 +1,7 @@
 // Typed results for the serving API (ISSUE 5).
 //
-// The phase methods of the core pipeline signal failure with bools and
-// zero counts (UploadRecords) or untyped exceptions; a serving front
+// The phase methods of the core pipeline signal failure with bools,
+// per-record accept flags or untyped exceptions; a serving front
 // end needs callers — possibly remote — to branch on *what went wrong*:
 // an unprovisioned participant is a client error, an authentication
 // failure is adversarial input, a saturated queue means "back off and

@@ -17,8 +17,9 @@
 //   * Ticket-ordered commits — every enqueued batch carries a sequence
 //     ticket; authentication runs out of order across workers, commits
 //     are reordered back to ticket order.  With a single producer the
-//     async path therefore appends records in exactly the synchronous
-//     order: same accept/reject counts, bit-identical trained model,
+//     async path therefore appends records in exactly the order a
+//     serial AuthenticateRecords + CommitRecords loop would: same
+//     accept/reject counts, bit-identical trained model,
 //     element-wise identical query results at any thread count
 //     (test-enforced, like the PR 2-4 determinism contracts).
 //   * Control plane — SubmitTrain / SubmitFingerprint / SubmitRelease
@@ -30,10 +31,6 @@
 //   * Query plane — SubmitInvestigate / SubmitInvestigateBatch run
 //     read-only against the fingerprint-stage QueryService on the
 //     shared pool, concurrently with each other.
-//
-// The synchronous phase methods (TrainingServer::UploadRecords,
-// QueryService::Investigate) remain as thin adapters over the same
-// batched cores, so existing callers are unchanged.
 //
 // Durability (ISSUE 8): with ServiceConfig::durable_dir set, the
 // service journals every committed upload batch (in ticket order),
@@ -101,7 +98,7 @@ enum class Phase {
 
 struct ServiceConfig {
   /// Records authenticated per enclave transition by the ingest
-  /// workers.  1 reproduces the synchronous per-record accounting.
+  /// workers.  1 makes one enclave transition per record.
   std::size_t ingest_batch = 32;
   /// Ingest queue capacity, in batches.
   std::size_t queue_capacity = 64;

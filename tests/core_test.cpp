@@ -15,6 +15,8 @@
 #include "core/server.hpp"
 #include "data/synthetic_cifar.hpp"
 #include "nn/presets.hpp"
+#include "securechannel/handshake.hpp"
+#include "securechannel/record.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 #include "util/threadpool.hpp"
@@ -34,6 +36,13 @@ data::LabeledDataset IntensityDataset(std::size_t count, std::uint64_t seed) {
     out.Append(img, label);
   }
   return out;
+}
+
+// Authenticates `records` one per enclave transition and commits the
+// accepted ones; returns the accepted count.
+std::size_t Upload(TrainingServer& server,
+                   const std::vector<data::EncryptedRecord>& records) {
+  return server.CommitRecords(records, server.AuthenticateRecords(records, 1));
 }
 
 enclave::EnclaveConfig TestEnclaveConfig() {
@@ -133,7 +142,8 @@ TEST(PartitionedTrainerTest, PredictMatchesNetworkPredict) {
   Rng fill(92);
   for (float& x : batch.data) x = fill.UniformFloat();
   const auto split = trainer.Predict(batch);
-  const auto plain = net.Predict(batch);
+  nn::LayerWorkspace ws;
+  const auto plain = net.Predict(batch, ws);
   ASSERT_EQ(split.size(), plain.size());
   for (std::size_t s = 0; s < split.size(); ++s) {
     for (std::size_t i = 0; i < split[s].size(); ++i) {
@@ -172,17 +182,19 @@ class ServerPipelineTest : public ::testing::Test {
 
 TEST_F(ServerPipelineTest, FullPipeline) {
   // --- provisioning + upload ---
-  EXPECT_EQ(alice_.ProvisionAndUpload(server_, server_.training_measurement()),
-            40U);
-  EXPECT_EQ(bob_.ProvisionAndUpload(server_, server_.training_measurement()),
-            40U);
+  alice_.Provision(server_, server_.training_measurement());
+  bob_.Provision(server_, server_.training_measurement());
+  EXPECT_EQ(Upload(server_, alice_.PackRecords()), 40U);
+  EXPECT_EQ(Upload(server_, bob_.PackRecords()), 40U);
   EXPECT_TRUE(server_.IsProvisioned("alice"));
   EXPECT_EQ(server_.accepted_records(), 80U);
 
   // Forged upload from an unregistered source is discarded.
-  data::DataPackager mallory("mallory", Bytes(32, 0x66), 999);
+  crypto::HmacDrbg drbg(BytesOf("mallory"));
+  data::DataPackager mallory("mallory", Bytes(32, 0x66), 999,
+                             crypto::SchnorrGenerate(drbg));
   nn::Image evil(nn::Shape{28, 28, 3});
-  EXPECT_EQ(server_.UploadRecords({mallory.Pack(evil, 0)}), 0U);
+  EXPECT_EQ(Upload(server_, {mallory.Pack(evil, 0)}), 0U);
   EXPECT_EQ(server_.rejected_records(), 1U);
 
   // --- training ---
@@ -222,7 +234,8 @@ TEST_F(ServerPipelineTest, FullPipeline) {
   Rng rng(105);
   nn::Image probe(nn::Shape{28, 28, 3});
   for (float& p : probe.pixels) p = 0.8F + 0.1F * rng.Gaussian();
-  const MispredictionReport mp = query.Investigate(probe, 9);
+  nn::LayerWorkspace ws;
+  const MispredictionReport mp = query.InvestigateWith(ws, probe, 9);
   EXPECT_EQ(mp.neighbors.size(), 9U);
   for (std::size_t i = 1; i < mp.neighbors.size(); ++i) {
     EXPECT_LE(mp.neighbors[i - 1].distance, mp.neighbors[i].distance);
@@ -244,7 +257,8 @@ TEST_F(ServerPipelineTest, FullPipeline) {
 }
 
 TEST_F(ServerPipelineTest, ModelReleaseRoundTrip) {
-  (void)alice_.ProvisionAndUpload(server_, server_.training_measurement());
+  alice_.Provision(server_, server_.training_measurement());
+  (void)Upload(server_, alice_.PackRecords());
   PartitionedTrainOptions options;
   options.epochs = 1;
   options.batch_size = 16;
@@ -263,8 +277,10 @@ TEST_F(ServerPipelineTest, ModelReleaseRoundTrip) {
   Rng rng(107);
   nn::Image probe(nn::Shape{28, 28, 3});
   for (float& p : probe.pixels) p = rng.UniformFloat();
-  const auto server_pred = server_.model().PredictOne(probe);
-  const auto alice_pred = assembled.PredictOne(probe);
+  nn::LayerWorkspace server_ws;
+  nn::LayerWorkspace alice_ws;
+  const auto server_pred = server_.model().PredictOne(probe, server_ws);
+  const auto alice_pred = assembled.PredictOne(probe, alice_ws);
   for (std::size_t i = 0; i < server_pred.size(); ++i) {
     EXPECT_FLOAT_EQ(server_pred[i], alice_pred[i]);
   }
@@ -279,7 +295,7 @@ TEST_F(ServerPipelineTest, AttestationFailureBlocksProvisioning) {
   crypto::Sha256Digest wrong = server_.training_measurement();
   wrong[0] ^= 0xff;
   try {
-    (void)alice_.ProvisionAndUpload(server_, wrong);
+    alice_.Provision(server_, wrong);
     FAIL() << "expected kAuthFailure";
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kAuthFailure);
@@ -288,7 +304,8 @@ TEST_F(ServerPipelineTest, AttestationFailureBlocksProvisioning) {
 }
 
 TEST_F(ServerPipelineTest, DynamicReassessmentMovesPartition) {
-  (void)alice_.ProvisionAndUpload(server_, server_.training_measurement());
+  alice_.Provision(server_, server_.training_measurement());
+  (void)Upload(server_, alice_.PackRecords());
   PartitionedTrainOptions options;
   options.epochs = 3;
   options.batch_size = 16;
@@ -389,8 +406,10 @@ TEST(ServerTest, MixedShapeRecordFailsTrainWithoutOverflow) {
   data::LabeledDataset big;
   big.Append(nn::Image(nn::Shape{64, 64, 3}), 1);
   Participant mallory("mallory", std::move(big), 322);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
-  (void)mallory.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
+  mallory.Provision(server, server.training_measurement());
+  (void)Upload(server, mallory.PackRecords());
 
   PartitionedTrainOptions options;
   options.epochs = 1;
@@ -441,9 +460,12 @@ TEST(ServerTest, MixedShapeErrorNamesFirstBadRecordInBatchOrder) {
       small.Append(nn::Image(nn::Shape{32, 32, 3}), 0);
       Participant mallory(bad_sources[0], std::move(big), 332);
       Participant trudy(bad_sources[1], std::move(small), 333);
-      (void)alice.ProvisionAndUpload(server, server.training_measurement());
-      (void)mallory.ProvisionAndUpload(server, server.training_measurement());
-      (void)trudy.ProvisionAndUpload(server, server.training_measurement());
+      alice.Provision(server, server.training_measurement());
+      (void)Upload(server, alice.PackRecords());
+      mallory.Provision(server, server.training_measurement());
+      (void)Upload(server, mallory.PackRecords());
+      trudy.Provision(server, server.training_measurement());
+      (void)Upload(server, trudy.PackRecords());
 
       PartitionedTrainOptions options;
       options.epochs = 1;
@@ -472,7 +494,8 @@ TEST(ServerTest, MixedShapeErrorNamesFirstBadRecordInBatchOrder) {
 TEST(ServerEdgeTest, ReleaseBeforeTrainingRejected) {
   TrainingServer server;
   Participant alice("alice", IntensityDataset(8, 300), 301);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
   EXPECT_THROW((void)server.ReleaseModelFor("alice"), Error);
   EXPECT_THROW((void)server.model(), Error);
   EXPECT_THROW((void)server.FingerprintAll(), Error);
@@ -481,7 +504,8 @@ TEST(ServerEdgeTest, ReleaseBeforeTrainingRejected) {
 TEST(ServerEdgeTest, ReleaseForUnknownParticipantRejected) {
   TrainingServer server;
   Participant alice("alice", IntensityDataset(16, 301), 302);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
   PartitionedTrainOptions options;
   options.epochs = 1;
   options.batch_size = 8;
@@ -498,7 +522,8 @@ TEST(ServerEdgeTest, ReleasePhaseErrorsAreTyped) {
   // kAuthFailure.
   TrainingServer server;
   Participant alice("alice", IntensityDataset(16, 310), 311);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
 
   // "mallory" starts a (malformed) handshake but never provisions a
   // key: the server now knows the identity, yet release must reject it
@@ -580,10 +605,47 @@ TEST(ServerEdgeTest, KeyProvisionBeforeHandshakeRejected) {
   EXPECT_FALSE(server.IsProvisioned("ghost"));
 }
 
+TEST(ServerEdgeTest, BareDataKeyProvisionRejected) {
+  // Over an established channel, a bare 32-byte data key (no signing
+  // public key) provisions nothing: every participant must be able to
+  // sign its records.
+  TrainingServer server;
+  crypto::HmacDrbg drbg(BytesOf("bare key client"));
+  securechannel::ClientHandshake handshake(server.attestation_public_key(),
+                                           server.training_measurement(),
+                                           drbg);
+  const Bytes server_hello =
+      server.HandleClientHello("alice", handshake.Hello());
+  ASSERT_TRUE(server.HandleClientFinished(
+      "alice", handshake.OnServerHello(server_hello)));
+  securechannel::RecordWriter writer(handshake.keys().client_write_key);
+  EXPECT_FALSE(server.HandleKeyProvision(
+      "alice", writer.Protect(Bytes(32, 0x42), BytesOf("alice"))));
+  EXPECT_FALSE(server.IsProvisioned("alice"));
+}
+
+TEST(ServerEdgeTest, UnsignedRecordFromProvisionedParticipantRejected) {
+  // A record sealed under alice's provisioned data key, so its GCM tag
+  // verifies, but without a signature is rejected and counted.
+  TrainingServer server;
+  Participant alice("alice", IntensityDataset(2, 340), 341);
+  alice.Provision(server, server.training_measurement());
+  std::vector<data::EncryptedRecord> records = alice.PackRecords();
+  records[1].signature.clear();
+  ASSERT_TRUE(data::OpenRecord(records[1], crypto::AesGcm(alice.data_key()))
+                  .has_value());
+  EXPECT_EQ(server.AuthenticateRecords(records, 2),
+            (std::vector<char>{1, 0}));
+  EXPECT_EQ(Upload(server, records), 1U);
+  EXPECT_EQ(server.accepted_records(), 1U);
+  EXPECT_EQ(server.rejected_records(), 1U);
+}
+
 TEST(ServerEdgeTest, ZeroFrontLayersReleaseHasEmptyFrontNet) {
   TrainingServer server;
   Participant alice("alice", IntensityDataset(16, 303), 304);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
   PartitionedTrainOptions options;
   options.epochs = 1;
   options.batch_size = 8;

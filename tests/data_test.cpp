@@ -180,6 +180,12 @@ TEST(PackagingTest, HashIsContentSensitive) {
   EXPECT_EQ(h1, HashTrainingInstance(img, 0));
 }
 
+// A fixed record-signing keypair for the packagers below.
+crypto::SchnorrKeyPair SigningKey() {
+  crypto::HmacDrbg drbg(BytesOf("data test signer"));
+  return crypto::SchnorrGenerate(drbg);
+}
+
 // Seals an arbitrary instance blob the way DataPackager::Pack seals a
 // canonical one (AAD = length-prefixed source, then the u32 label), so
 // tests can hand the enclave well-authenticated but malformed plaintext.
@@ -238,16 +244,16 @@ TEST(PackagingTest, HugeInstanceHeaderRejectedWithoutAllocating) {
     EXPECT_THROW((void)DeserializeTrainingInstance(
                      SerializeTrainingInstance(image, 3)),
                  Error);
-    DataPackager packager("mallory", key, 7);
+    DataPackager packager("mallory", key, 7, SigningKey());
     const EncryptedRecord record = packager.Pack(image, 3);
-    EXPECT_FALSE(OpenRecord(record, key).has_value());
+    EXPECT_FALSE(OpenRecord(record, crypto::AesGcm(key)).has_value());
     EXPECT_EQ(BatchAccepts(record, key), 0U);
   }
   // A count that matches the huge shape but no payload behind it.
   const Bytes blob = InstanceBlob({1024, 1024, 64}, 3, 1024U * 1024U * 64U, 0);
   EXPECT_THROW((void)DeserializeTrainingInstance(blob), Error);
   const EncryptedRecord record = SealInstanceBlob("mallory", 3, blob, key, 1);
-  EXPECT_FALSE(OpenRecord(record, key).has_value());
+  EXPECT_FALSE(OpenRecord(record, crypto::AesGcm(key)).has_value());
   EXPECT_EQ(BatchAccepts(record, key), 0U);
 }
 
@@ -268,7 +274,7 @@ TEST(PackagingTest, WrappingInstanceDimensionsRejected) {
     const Bytes blob = InstanceBlob(h.shape, 3, h.count, h.count * 4U);
     EXPECT_THROW((void)DeserializeTrainingInstance(blob), Error);
     const EncryptedRecord record = SealInstanceBlob("mallory", 3, blob, key, 9);
-    EXPECT_FALSE(OpenRecord(record, key).has_value());
+    EXPECT_FALSE(OpenRecord(record, crypto::AesGcm(key)).has_value());
     EXPECT_EQ(BatchAccepts(record, key), 0U);
   }
 }
@@ -277,7 +283,7 @@ TEST(PackagingTest, BatchOpenAcceptsExactlyWhatOpenRecordAccepts) {
   const Bytes key(32, 0x42);
   nn::Image image(nn::Shape{2, 2, 1});
   image.pixels = {0.1F, 0.2F, 0.3F, 0.4F};
-  DataPackager packager("alice", key, 21);
+  DataPackager packager("alice", key, 21, SigningKey());
   std::vector<EncryptedRecord> corpus;
   std::vector<bool> expect_accept;
   const auto add = [&](EncryptedRecord record, bool accept) {
@@ -314,7 +320,8 @@ TEST(PackagingTest, BatchOpenAcceptsExactlyWhatOpenRecordAccepts) {
     add(std::move(bad_tag), false);
   }
   {
-    DataPackager other("alice", Bytes(32, 0x43), 22);  // wrong key
+    // Wrong data key.
+    DataPackager other("alice", Bytes(32, 0x43), 22, SigningKey());
     add(other.Pack(image, 5), false);
   }
 
@@ -338,7 +345,7 @@ TEST(PackagingTest, BatchOpenAcceptsExactlyWhatOpenRecordAccepts) {
 
 class PackagingRoundTrip : public ::testing::Test {
  protected:
-  PackagingRoundTrip() : packager_("alice", key_, 33) {
+  PackagingRoundTrip() : packager_("alice", key_, 33, SigningKey()) {
     img_ = nn::Image(nn::Shape{8, 8, 3});
     Rng rng(13);
     for (float& p : img_.pixels) p = rng.UniformFloat();
@@ -352,7 +359,7 @@ TEST_F(PackagingRoundTrip, OpenSucceedsWithRightKey) {
   const EncryptedRecord record = packager_.Pack(img_, 5);
   EXPECT_EQ(record.participant_id, "alice");
   EXPECT_EQ(record.label, 5);
-  const auto opened = OpenRecord(record, key_);
+  const auto opened = OpenRecord(record, crypto::AesGcm(key_));
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(opened->image.pixels, img_.pixels);
   EXPECT_EQ(opened->label, 5);
@@ -362,26 +369,27 @@ TEST_F(PackagingRoundTrip, OpenSucceedsWithRightKey) {
 
 TEST_F(PackagingRoundTrip, WrongKeyRejected) {
   const EncryptedRecord record = packager_.Pack(img_, 5);
-  EXPECT_FALSE(OpenRecord(record, Bytes(32, 0x43)).has_value());
+  EXPECT_FALSE(
+      OpenRecord(record, crypto::AesGcm(Bytes(32, 0x43))).has_value());
 }
 
 TEST_F(PackagingRoundTrip, FlippedLabelRejected) {
   // Adversary flips the plaintext label in transit: AAD check fails.
   EncryptedRecord record = packager_.Pack(img_, 5);
   record.label = 0;
-  EXPECT_FALSE(OpenRecord(record, key_).has_value());
+  EXPECT_FALSE(OpenRecord(record, crypto::AesGcm(key_)).has_value());
 }
 
 TEST_F(PackagingRoundTrip, ForgedSourceRejected) {
   EncryptedRecord record = packager_.Pack(img_, 5);
   record.participant_id = "mallory";
-  EXPECT_FALSE(OpenRecord(record, key_).has_value());
+  EXPECT_FALSE(OpenRecord(record, crypto::AesGcm(key_)).has_value());
 }
 
 TEST_F(PackagingRoundTrip, TamperedCiphertextRejected) {
   EncryptedRecord record = packager_.Pack(img_, 5);
   record.ciphertext[10] ^= 0x01;
-  EXPECT_FALSE(OpenRecord(record, key_).has_value());
+  EXPECT_FALSE(OpenRecord(record, crypto::AesGcm(key_)).has_value());
 }
 
 TEST_F(PackagingRoundTrip, UniqueNoncesPerRecord) {
@@ -400,7 +408,8 @@ TEST_F(PackagingRoundTrip, WireSerializationRoundTrip) {
   EXPECT_EQ(back.iv, record.iv);
   EXPECT_EQ(back.ciphertext, record.ciphertext);
   EXPECT_EQ(back.tag, record.tag);
-  EXPECT_TRUE(OpenRecord(back, key_).has_value());
+  EXPECT_EQ(back.signature, record.signature);
+  EXPECT_TRUE(OpenRecord(back, crypto::AesGcm(key_)).has_value());
 }
 
 TEST_F(PackagingRoundTrip, PackAllCoversDataset) {
@@ -410,7 +419,7 @@ TEST_F(PackagingRoundTrip, PackAllCoversDataset) {
   const auto records = packager_.PackAll(d);
   ASSERT_EQ(records.size(), 12U);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto opened = OpenRecord(records[i], key_);
+    const auto opened = OpenRecord(records[i], crypto::AesGcm(key_));
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(opened->label, d.labels[i]);
   }

@@ -280,8 +280,9 @@ nn::Image* InversionTest::target_image_ = nullptr;
 int InversionTest::target_label_ = 0;
 
 TEST_F(InversionTest, FullModelAccessMakesProgress) {
-  const linkage::Fingerprint target =
-      linkage::ExtractFingerprint(*model_, *target_image_);
+  nn::LayerWorkspace ws;
+  const linkage::Fingerprint target = linkage::ExtractFingerprintAt(
+      *model_, *target_image_, model_->PenultimateIndex(), ws);
   Rng rng(73);
   attack::InversionOptions options;
   options.iterations = 100;
@@ -297,8 +298,9 @@ TEST_F(InversionTest, FullModelAccessMakesProgress) {
 }
 
 TEST_F(InversionTest, GuessedFrontNetDefeatsTheAttack) {
-  const linkage::Fingerprint target =
-      linkage::ExtractFingerprint(*model_, *target_image_);
+  nn::LayerWorkspace ws;
+  const linkage::Fingerprint target = linkage::ExtractFingerprintAt(
+      *model_, *target_image_, model_->PenultimateIndex(), ws);
   // Adversary holds the plaintext BackNet but must guess the FrontNet
   // (the released FrontNet is AES-GCM encrypted): substitute random
   // weights for the first two layers.
@@ -321,7 +323,9 @@ TEST_F(InversionTest, GuessedFrontNetDefeatsTheAttack) {
   // get to the real fingerprint?
   const auto true_distance = [&](const nn::Image& img) {
     return linkage::FingerprintDistance(
-        linkage::ExtractFingerprint(*model_, img), target);
+        linkage::ExtractFingerprintAt(*model_, img, model_->PenultimateIndex(),
+                                      ws),
+        target);
   };
   const double full_dist = true_distance(with_full.reconstruction);
   const double guess_dist = true_distance(with_guess.reconstruction);

@@ -60,8 +60,10 @@ TEST(FingerprintTest, IsNormalizedAndDeterministic) {
   nn::Network net = nn::BuildNetwork(nn::Table1Spec(32), rng);
   nn::Image img(nn::Shape{28, 28, 3});
   for (float& p : img.pixels) p = rng.UniformFloat();
-  const Fingerprint a = ExtractFingerprint(net, img);
-  const Fingerprint b = ExtractFingerprint(net, img);
+  nn::LayerWorkspace ws;
+  const int layer = net.PenultimateIndex();
+  const Fingerprint a = ExtractFingerprintAt(net, img, layer, ws);
+  const Fingerprint b = ExtractFingerprintAt(net, img, layer, ws);
   EXPECT_EQ(a, b);
   EXPECT_NEAR(L2Norm(a), 1.0, 1e-5);
   EXPECT_EQ(a.size(), 10U);  // Table-1 penultimate = avg pool over classes

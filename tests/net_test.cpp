@@ -35,6 +35,13 @@
 namespace caltrain::net {
 namespace {
 
+// Authenticates `records` one per enclave transition and commits the
+// accepted ones; returns the accepted count.
+std::size_t Upload(core::TrainingServer& server,
+                   const std::vector<data::EncryptedRecord>& records) {
+  return server.CommitRecords(records, server.AuthenticateRecords(records, 1));
+}
+
 data::LabeledDataset TinyCifar(std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
   data::SyntheticCifar gen;
@@ -234,7 +241,9 @@ TEST(NetCodecTest, MessageRoundTrips) {
     request.upload_seq = 3;
     Rng rng(11);
     data::SyntheticCifar gen;
-    data::DataPackager packager("alice", Bytes(32, 0x11), 77);
+    crypto::HmacDrbg signer_drbg(BytesOf("signer"));
+    data::DataPackager packager("alice", Bytes(32, 0x11), 77,
+                                crypto::SchnorrGenerate(signer_drbg));
     request.records.push_back(packager.Pack(gen.Sample(0, rng), 0));
     request.records.push_back(packager.Pack(gen.Sample(1, rng), 1));
     const Bytes payload = EncodeSubmitUpload(request);
@@ -876,11 +885,14 @@ TEST(NetDeterminismTest, LoopbackFlowMatchesInProcessAtEveryThreadCount) {
     util::ScopedThreads guard(1);
     core::TrainingServer server;
     core::Participant alice("alice", dataset, 211);
-    (void)alice.ProvisionAndUpload(server, server.training_measurement());
+    alice.Provision(server, server.training_measurement());
+    (void)Upload(server, alice.PackRecords());
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
-    (void)server.UploadRecords({bogus.Pack(gen.Sample(0, rng), 0)});
+    crypto::HmacDrbg forger_drbg(BytesOf("forger"));
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             crypto::SchnorrGenerate(forger_drbg));
+    (void)Upload(server, {bogus.Pack(gen.Sample(0, rng), 0)});
     (void)server.Train(nn::Table1Spec(32), FastOptions());
     reference.accepted = server.accepted_records();
     reference.rejected = server.rejected_records();
@@ -893,8 +905,9 @@ TEST(NetDeterminismTest, LoopbackFlowMatchesInProcessAtEveryThreadCount) {
                                                     alice.data_key())
             .SerializeModel();
     core::QueryService query(std::move(server.model()), std::move(db));
+    nn::LayerWorkspace ws;
     for (const nn::Image& probe : probes) {
-      reference.reports.push_back(query.Investigate(probe, 5));
+      reference.reports.push_back(query.InvestigateWith(ws, probe, 5));
     }
   }
 
@@ -932,7 +945,9 @@ TEST(NetDeterminismTest, LoopbackFlowMatchesInProcessAtEveryThreadCount) {
     ASSERT_TRUE(r1.ok()) << label;
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
+    crypto::HmacDrbg forger_drbg(BytesOf("forger"));
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             crypto::SchnorrGenerate(forger_drbg));
     auto r2 = client.SubmitUpload(session.value(),
                                   {bogus.Pack(gen.Sample(0, rng), 0)});
     ASSERT_TRUE(r2.ok()) << label;

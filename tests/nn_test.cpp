@@ -672,8 +672,9 @@ TEST(SoftmaxCostTest, LossOfUniformLogitsIsLogN) {
   std::vector<int> labels = {2};
   LayerContext ctx;
   ctx.labels = &labels;
-  net.ForwardRange(&in, 0, net.NumLayers(), ctx);
-  EXPECT_NEAR(net.LastLoss(), std::log(4.0F), 1e-5F);
+  LayerWorkspace ws;
+  net.ForwardRange(&in, 0, net.NumLayers(), ctx, ws);
+  EXPECT_NEAR(net.LossOf(ws), std::log(4.0F), 1e-5F);
 }
 
 TEST(SoftmaxCostTest, CombinedGradientIsProbsMinusOneHot) {
@@ -688,13 +689,14 @@ TEST(SoftmaxCostTest, CombinedGradientIsProbsMinusOneHot) {
   LayerContext ctx;
   ctx.training = true;
   ctx.labels = &labels;
-  net.ForwardRange(&in, 0, net.NumLayers(), ctx);
-  net.BackwardRange(0, net.NumLayers(), ctx);
-  const Batch& probs = net.ActivationAt(0);
+  LayerWorkspace ws;
+  net.ForwardRange(&in, 0, net.NumLayers(), ctx, ws);
+  net.BackwardRange(0, net.NumLayers(), ctx, ws);
+  const Batch& probs = ws.activations[0];
   // Delta entering the softmax (= what a preceding layer would see) is
   // probs - onehot.
-  const Batch& delta = net.DeltaAt(0);
-  // DeltaAt(0) is dL/d(softmax output) which equals the cost layer's
+  const Batch& delta = ws.deltas[0];
+  // deltas[0] is dL/d(softmax output) which equals the cost layer's
   // pass-down (probs - onehot) by the pairing convention.
   EXPECT_NEAR(delta.data[0], probs.data[0] - 1.0F, 1e-6F);
   EXPECT_NEAR(delta.data[1], probs.data[1], 1e-6F);
@@ -750,10 +752,12 @@ TEST(NetworkTest, SerializationRoundTripPreservesPredictions) {
   Network net = BuildNetwork(Table1Spec(16), rng);
   Image img(Shape{28, 28, 3});
   for (float& p : img.pixels) p = rng.UniformFloat();
-  const auto before = net.PredictOne(img);
+  LayerWorkspace ws;
+  const auto before = net.PredictOne(img, ws);
   const Bytes blob = net.SerializeModel();
   Network restored = Network::DeserializeModel(blob);
-  const auto after = restored.PredictOne(img);
+  LayerWorkspace restored_ws;
+  const auto after = restored.PredictOne(img, restored_ws);
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_FLOAT_EQ(before[i], after[i]);
@@ -789,12 +793,13 @@ TEST(NetworkTest, PartitionedForwardMatchesFullForward) {
   for (float& x : in.data) x = rng.UniformFloat();
 
   LayerContext ctx;
-  net.ForwardRange(&in, 0, net.NumLayers(), ctx);
-  const std::vector<float> full = net.ActivationAt(8).data;  // softmax out
+  LayerWorkspace ws;
+  net.ForwardRange(&in, 0, net.NumLayers(), ctx, ws);
+  const std::vector<float> full = ws.activations[8].data;  // softmax out
 
-  net.ForwardRange(&in, 0, 2, ctx);
-  net.ForwardRange(nullptr, 2, net.NumLayers(), ctx);
-  const std::vector<float> split = net.ActivationAt(8).data;
+  net.ForwardRange(&in, 0, 2, ctx, ws);
+  net.ForwardRange(nullptr, 2, net.NumLayers(), ctx, ws);
+  const std::vector<float> split = ws.activations[8].data;
   ASSERT_EQ(full.size(), split.size());
   for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_FLOAT_EQ(full[i], split[i]);
@@ -940,9 +945,11 @@ TEST(NetworkEdgeTest, EmbeddingAtLayerBounds) {
   Rng rng(200);
   Network net = BuildNetwork(Table1Spec(32), rng);
   Image img(Shape{28, 28, 3});
-  EXPECT_THROW((void)net.EmbeddingAtLayer(img, -1), Error);
-  EXPECT_THROW((void)net.EmbeddingAtLayer(img, 99), Error);
-  const auto early = net.EmbeddingAtLayer(img, 0);
+  LayerWorkspace ws;
+  const KernelProfile fast = KernelProfile::kFast;
+  EXPECT_THROW((void)net.EmbeddingAtLayer(img, -1, fast, ws), Error);
+  EXPECT_THROW((void)net.EmbeddingAtLayer(img, 99, fast, ws), Error);
+  const auto early = net.EmbeddingAtLayer(img, 0, fast, ws);
   EXPECT_EQ(early.size(), net.layer(0).out_shape().Flat());
 }
 
@@ -963,11 +970,12 @@ TEST(NetworkEdgeTest, ForwardRangeValidatesInput) {
   Rng rng(202);
   Network net = BuildNetwork(Table1Spec(32), rng);
   LayerContext ctx;
+  LayerWorkspace ws;
   Batch wrong_shape(1, Shape{8, 8, 3});
-  EXPECT_THROW(net.ForwardRange(&wrong_shape, 0, 2, ctx), Error);
-  EXPECT_THROW(net.ForwardRange(nullptr, 0, 2, ctx), Error);
+  EXPECT_THROW(net.ForwardRange(&wrong_shape, 0, 2, ctx, ws), Error);
+  EXPECT_THROW(net.ForwardRange(nullptr, 0, 2, ctx, ws), Error);
   Batch ok(1, Shape{28, 28, 3});
-  EXPECT_THROW(net.ForwardRange(&ok, 2, 1, ctx), Error);  // bad range
+  EXPECT_THROW(net.ForwardRange(&ok, 2, 1, ctx, ws), Error);  // bad range
 }
 
 TEST(NetworkEdgeTest, DeserializeRejectsCorruptBlob) {
@@ -979,6 +987,80 @@ TEST(NetworkEdgeTest, DeserializeRejectsCorruptBlob) {
   Bytes extended = net.SerializeModel();
   extended.push_back(0x00);  // trailing garbage
   EXPECT_THROW((void)Network::DeserializeModel(extended), Error);
+}
+
+// Byte offsets into a serialized model: the spec header is w, h, c and
+// the layer count (u32 each), then 22 bytes per layer — kind (u8),
+// filters, ksize, stride (u32), activation (u8), dropout p (f32),
+// outputs (u32) — then the weights.
+constexpr std::size_t kLayerCountAt = 12;
+constexpr std::size_t kFirstKindAt = 16;
+constexpr std::size_t kFirstFiltersAt = 17;
+constexpr std::size_t kFirstKsizeAt = 21;
+constexpr std::size_t kFirstActivationAt = 29;
+
+Bytes DecodeTestModel() {
+  Rng rng(205);
+  return BuildNetwork(Table1Spec(16), rng).SerializeModel();
+}
+
+void PutU32(Bytes& blob, std::size_t at, std::uint32_t value) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    blob[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+TEST(ModelDecodeTest, UnknownLayerKindThrows) {
+  for (const std::uint8_t kind : {7, 0x80, 0xff}) {
+    Bytes blob = DecodeTestModel();
+    blob[kFirstKindAt] = kind;
+    EXPECT_THROW((void)Network::DeserializeModel(blob), Error) << int{kind};
+  }
+  Bytes blob = DecodeTestModel();
+  blob[kFirstActivationAt] = 2;
+  EXPECT_THROW((void)Network::DeserializeModel(blob), Error);
+  // A spec built in code reaches the constructor's switch directly.
+  NetworkSpec spec;
+  spec.input = Shape{4, 4, 1};
+  spec.layers = {LayerSpec{.kind = static_cast<LayerKind>(9)}};
+  EXPECT_THROW(Network net(spec), Error);
+}
+
+TEST(ModelDecodeTest, HugeLayerCountThrows) {
+  for (const std::uint32_t count : {0xffffffffU, 0x10000000U, 1000U}) {
+    Bytes blob = DecodeTestModel();
+    PutU32(blob, kLayerCountAt, count);
+    EXPECT_THROW((void)Network::DeserializeModel(blob), Error) << count;
+  }
+}
+
+TEST(ModelDecodeTest, OversizedFilterThrowsBeforeAllocating) {
+  // 0x14d101b6 filters is past the dimension bound; 2^16 filters is
+  // within it but declares ~7 MB of weights that the blob does not
+  // hold; so does a 2^16 x 2^16 kernel.
+  for (const std::uint32_t filters : {0x14d101b6U, 0xffffffffU, 1U << 16}) {
+    Bytes blob = DecodeTestModel();
+    PutU32(blob, kFirstFiltersAt, filters);
+    EXPECT_THROW((void)Network::DeserializeModel(blob), Error) << filters;
+  }
+  Bytes blob = DecodeTestModel();
+  PutU32(blob, kFirstKsizeAt, 1U << 16);
+  EXPECT_THROW((void)Network::DeserializeModel(blob), Error);
+  blob = DecodeTestModel();
+  PutU32(blob, 0, 0);  // input width 0
+  EXPECT_THROW((void)Network::DeserializeModel(blob), Error);
+}
+
+TEST(ModelDecodeTest, TruncatedBlobThrows) {
+  const Bytes blob = DecodeTestModel();
+  for (const std::size_t keep :
+       {std::size_t{0}, std::size_t{1}, kLayerCountAt, kFirstKindAt,
+        kFirstFiltersAt + 2, std::size_t{200}, blob.size() / 2,
+        blob.size() - 1}) {
+    const Bytes truncated(blob.begin(),
+                          blob.begin() + static_cast<std::ptrdiff_t>(keep));
+    EXPECT_THROW((void)Network::DeserializeModel(truncated), Error) << keep;
+  }
 }
 
 TEST(FaceNetSpecTest, ShapesAndPenultimate) {

@@ -384,7 +384,7 @@ TEST(ServiceLogTest, CommitBatchEncodingMatchesReference) {
   const Bytes key(32, 0x24);
   crypto::HmacDrbg drbg(BytesOf("commit batch fixture"));
   data::DataPackager signing("alice", key, 5, crypto::SchnorrGenerate(drbg));
-  data::DataPackager unsigned_packager("bob", key, 6);
+  data::DataPackager bob("bob", key, 6, crypto::SchnorrGenerate(drbg));
 
   persist::CommitBatchEvent empty;
   empty.seq = 0;
@@ -395,9 +395,9 @@ TEST(ServiceLogTest, CommitBatchEncodingMatchesReference) {
     mixed.records.push_back(
         signing.Pack(dataset.images[i], dataset.labels[i]));
   }
-  mixed.records.push_back(
-      unsigned_packager.Pack(dataset.images[0], dataset.labels[0]));
-  ASSERT_TRUE(mixed.records.back().signature.empty());
+  // An unsigned record still encodes (authentication rejects it).
+  mixed.records.push_back(bob.Pack(dataset.images[0], dataset.labels[0]));
+  mixed.records.back().signature.clear();
   mixed.records[1].ciphertext[0] ^= 0x80;  // a record auth rejected
   mixed.accepted = {1, 0, 7, 1, 1};        // nonzero flags encode as 1
 
@@ -706,6 +706,41 @@ TEST(ServiceDurabilityTest, CorruptJournalIsTypedNotSilent) {
     std::ofstream out(persist::ServiceLog::JournalPath(dir),
                       std::ios::binary);
     out << "NOTAWAL0garbage";
+  }
+  core::TrainingServer server;
+  auto recovered = serve::Service::Recover(server, DurableConfig(dir));
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.error().kind, serve::ServeErrorKind::kCorruptJournal);
+  RemoveTree(dir);
+}
+
+TEST(ServiceDurabilityTest, DirectoryWithUnsignedParticipantIsCorruption) {
+  // A CRC-valid directory snapshot whose participant has no signing
+  // public key (sign_pub = 0): HandleKeyProvision never provisions
+  // such a pair, so recovery reports corruption instead of restoring a
+  // participant whose records could skip the signature check.
+  const std::string dir = MakeTempDir();
+  {
+    ByteWriter blob;
+    blob.WriteU32(1);
+    blob.WriteString("alice");
+    blob.WriteBytes(Bytes(32, 0x24));
+    blob.WriteBytes(crypto::U128ToBytes(0));
+    persist::DirectoryEvent event;
+    event.version = 1;
+    event.blob = blob.Take();
+    auto log = persist::ServiceLog::Open(dir, persist::SyncMode::kNone);
+    (void)log->AppendDirectory(event);
+    log->Sync();
+
+    core::TrainingServer direct;
+    try {
+      direct.RestoreDirectory(event.blob, event.version);
+      ADD_FAILURE() << "sign_pub 0 must not restore";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
+    }
+    EXPECT_FALSE(direct.IsProvisioned("alice"));
   }
   core::TrainingServer server;
   auto recovered = serve::Service::Recover(server, DurableConfig(dir));

@@ -21,6 +21,13 @@
 namespace caltrain::core {
 namespace {
 
+// Authenticates `records` one per enclave transition and commits the
+// accepted ones; returns the accepted count.
+std::size_t Upload(TrainingServer& server,
+                   const std::vector<data::EncryptedRecord>& records) {
+  return server.CommitRecords(records, server.AuthenticateRecords(records, 1));
+}
+
 data::LabeledDataset TinyCifar(std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
   data::SyntheticCifar gen;
@@ -41,7 +48,8 @@ PartitionedTrainOptions FastOptions(int epochs = 2) {
 TEST(PipelineTest, ResumeContinuesFromHeldModel) {
   TrainingServer server;
   Participant alice("alice", TinyCifar(64, 11), 201);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
 
   (void)server.Train(nn::Table1Spec(32), FastOptions(1));
   const Bytes after_phase1 =
@@ -58,7 +66,8 @@ TEST(PipelineTest, ResumeContinuesFromHeldModel) {
   // Resume without a model is rejected.
   TrainingServer fresh;
   Participant bob("bob", TinyCifar(32, 12), 202);
-  (void)bob.ProvisionAndUpload(fresh, fresh.training_measurement());
+  bob.Provision(fresh, fresh.training_measurement());
+  (void)Upload(fresh, bob.PackRecords());
   PartitionedTrainOptions bad = FastOptions(1);
   bad.resume = true;
   EXPECT_THROW((void)fresh.Train(nn::Table1Spec(32), bad), Error);
@@ -72,7 +81,8 @@ TEST(PipelineTest, InitialWeightsArePinned) {
 
   TrainingServer server;
   Participant alice("alice", TinyCifar(16, 14), 203);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
   PartitionedTrainOptions options = FastOptions(1);
   options.initial_weights = init;
   options.batch_size = 16;
@@ -87,7 +97,8 @@ TEST(PipelineTest, InitialWeightsArePinned) {
 TEST(PipelineTest, FingerprintLayerSelectionFlowsThroughQuery) {
   TrainingServer server;
   Participant alice("alice", TinyCifar(48, 15), 204);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
   (void)server.Train(nn::Table1Spec(32), FastOptions(1));
 
   // Fingerprint at layer 5 (the 7x7 conv) instead of the penultimate.
@@ -101,8 +112,9 @@ TEST(PipelineTest, FingerprintLayerSelectionFlowsThroughQuery) {
   QueryService query(std::move(server.model()), std::move(db), layer);
   Rng rng(16);
   data::SyntheticCifar gen;
+  nn::LayerWorkspace ws;
   const MispredictionReport report =
-      query.Investigate(gen.Sample(0, rng), 3);
+      query.InvestigateWith(ws, gen.Sample(0, rng), 3);
   ASSERT_EQ(report.fingerprint.size(), expected_dim);
   for (const auto& n : report.neighbors) {
     EXPECT_EQ(n.label, report.predicted_label);
@@ -138,7 +150,8 @@ TEST(PipelineTest, TinyEpcForcesPagingDuringTraining) {
   config.epc.capacity_bytes = 64 * 4096;  // 256 KiB EPC
   TrainingServer server(config);
   Participant alice("alice", TinyCifar(48, 17), 205);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
   const TrainReport report =
       server.Train(nn::Table1Spec(16), FastOptions(1));
   EXPECT_GT(report.epc.pages_evicted, 0U)
@@ -154,18 +167,17 @@ TEST(PipelineTest, ReProvisioningReplacesKey) {
   data::LabeledDataset dataset = TinyCifar(8, 18);
 
   Participant first("alice", dataset, 206);
-  (void)first.ProvisionAndUpload(server, server.training_measurement());
-  data::DataPackager old_packager("alice",
-                                  first.data_key(), 301);
+  first.Provision(server, server.training_measurement());
+  const std::vector<data::EncryptedRecord> stale = first.PackRecords();
+  (void)Upload(server, stale);
 
   Participant second("alice", dataset, 207);  // fresh key, same identity
-  (void)second.ProvisionAndUpload(server, server.training_measurement());
+  second.Provision(server, server.training_measurement());
+  (void)Upload(server, second.PackRecords());
 
-  // A record sealed under the OLD key no longer authenticates.
-  Rng rng(19);
-  data::SyntheticCifar gen;
-  const auto stale = old_packager.Pack(gen.Sample(0, rng), 0);
-  EXPECT_EQ(server.UploadRecords({stale}), 0U);
+  // A record sealed and signed under the OLD keys no longer
+  // authenticates.
+  EXPECT_EQ(Upload(server, {stale.front()}), 0U);
 }
 
 TEST(PipelineTest, ConfigDrivenServerTraining) {
@@ -179,7 +191,8 @@ TEST(PipelineTest, ConfigDrivenServerTraining) {
       "[avgpool]\n[softmax]\n[cost]\n");
   TrainingServer server;
   Participant alice("alice", TinyCifar(48, 20), 208);
-  (void)alice.ProvisionAndUpload(server, server.training_measurement());
+  alice.Provision(server, server.training_measurement());
+  (void)Upload(server, alice.PackRecords());
   PartitionedTrainOptions options = FastOptions(1);
   options.front_layers = 1;
   const TrainReport report = server.Train(spec, options);
@@ -205,12 +218,15 @@ TEST(PipelineTest, ParallelPipelineMatchesSerialRun) {
     FlowResult out;
     TrainingServer server;
     Participant alice("alice", TinyCifar(48, 42), 211);
-    (void)alice.ProvisionAndUpload(server, server.training_measurement());
+    alice.Provision(server, server.training_measurement());
+    (void)Upload(server, alice.PackRecords());
     // One record sealed under a bogus key must be rejected either way.
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
-    (void)server.UploadRecords({bogus.Pack(gen.Sample(0, rng), 0)});
+    crypto::HmacDrbg forger_drbg(BytesOf("forger"));
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             crypto::SchnorrGenerate(forger_drbg));
+    (void)Upload(server, {bogus.Pack(gen.Sample(0, rng), 0)});
     (void)server.Train(nn::Table1Spec(32), FastOptions(1));
     linkage::LinkageDatabase db = server.FingerprintAll();
     out.accepted = server.accepted_records();
@@ -254,7 +270,8 @@ TEST(PipelineTest, DataParallelTrainingBitIdenticalAcrossThreadCounts) {
     FlowResult out;
     TrainingServer server;
     Participant alice("alice", TinyCifar(48, 61), 213);
-    (void)alice.ProvisionAndUpload(server, server.training_measurement());
+    alice.Provision(server, server.training_measurement());
+    (void)Upload(server, alice.PackRecords());
     Rng dp_rng(62);
     PartitionedTrainOptions options = FastOptions(2);
     if (dp) {
@@ -303,8 +320,10 @@ TEST(PipelineTest, AugmentedTrainingBitIdenticalAcrossThreadCounts) {
     TrainingServer server;
     Participant alice("alice", TinyCifar(40, 71), 214);
     Participant bob("bob", TinyCifar(24, 72), 215);
-    (void)alice.ProvisionAndUpload(server, server.training_measurement());
-    (void)bob.ProvisionAndUpload(server, server.training_measurement());
+    alice.Provision(server, server.training_measurement());
+    (void)Upload(server, alice.PackRecords());
+    bob.Provision(server, server.training_measurement());
+    (void)Upload(server, bob.PackRecords());
     PartitionedTrainOptions options = FastOptions(2);
     options.augment = true;
     const TrainReport report = server.Train(nn::Table1Spec(16), options);
@@ -337,7 +356,8 @@ TEST(PipelineTest, MiniatureTrojanDetectionLoop) {
 
   TrainingServer server;
   Participant honest("honest", faces.Generate(240, rng), 209);
-  (void)honest.ProvisionAndUpload(server, server.training_measurement());
+  honest.Provision(server, server.training_measurement());
+  (void)Upload(server, honest.PackRecords());
   const auto spec = nn::FaceNetSpec(faces.shape(), face_options.identities,
                                     32, 8);
   PartitionedTrainOptions clean = FastOptions(5);
@@ -350,7 +370,8 @@ TEST(PipelineTest, MiniatureTrojanDetectionLoop) {
   }
   Participant mallory("mallory",
                       attack::MakePoisonedSet(donors, 0, "mallory"), 210);
-  (void)mallory.ProvisionAndUpload(server, server.training_measurement());
+  mallory.Provision(server, server.training_measurement());
+  (void)Upload(server, mallory.PackRecords());
   PartitionedTrainOptions retrain = FastOptions(3);
   retrain.resume = true;
   retrain.sgd.learning_rate = 0.005F;
@@ -370,9 +391,10 @@ TEST(PipelineTest, MiniatureTrojanDetectionLoop) {
 
   // Find a hijacked probe and check attribution.
   std::size_t attributed = 0, hijacked = 0;
+  nn::LayerWorkspace ws;
   for (int id = 1; id < face_options.identities; ++id) {
     const nn::Image probe = attack::ApplyTrigger(faces.Sample(id, rng));
-    const MispredictionReport report = query.Investigate(probe, 9);
+    const MispredictionReport report = query.InvestigateWith(ws, probe, 9);
     if (report.predicted_label != 0) continue;
     ++hijacked;
     std::size_t mallory_hits = 0;

@@ -451,8 +451,10 @@ TEST_P(PresetProperty, ScaledPresetsBuildAndRoundTrip) {
     nn::Image img(nn::Shape{28, 28, 3});
     Rng fill(7);
     for (float& x : img.pixels) x = fill.UniformFloat();
-    const auto a = net.PredictOne(img);
-    const auto b = restored.PredictOne(img);
+    nn::LayerWorkspace net_ws;
+    nn::LayerWorkspace restored_ws;
+    const auto a = net.PredictOne(img, net_ws);
+    const auto b = restored.PredictOne(img, restored_ws);
     for (std::size_t i = 0; i < a.size(); ++i) EXPECT_FLOAT_EQ(a[i], b[i]);
   }
 }

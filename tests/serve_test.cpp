@@ -29,6 +29,13 @@ data::LabeledDataset TinyCifar(std::size_t count, std::uint64_t seed) {
   return gen.Generate(count, rng);
 }
 
+// Authenticates `records` one per enclave transition and commits the
+// accepted ones; returns the accepted count.
+std::size_t Upload(core::TrainingServer& server,
+                   const std::vector<data::EncryptedRecord>& records) {
+  return server.CommitRecords(records, server.AuthenticateRecords(records, 1));
+}
+
 core::PartitionedTrainOptions FastOptions(int epochs = 1) {
   core::PartitionedTrainOptions options;
   options.epochs = epochs;
@@ -113,7 +120,7 @@ TEST(ServiceIngestTest, BatchedTransitionsAmortizeEcalls) {
   sync_alice.Provision(sync_server, sync_server.training_measurement());
   sync_server.training_enclave().ResetTransitions();
   const std::size_t sync_accepted =
-      sync_server.UploadRecords(sync_alice.PackRecords());
+      Upload(sync_server, sync_alice.PackRecords());
   const std::uint64_t sync_ecalls =
       sync_server.training_enclave().transitions().ecalls;
   EXPECT_EQ(sync_accepted, 64U);
@@ -306,7 +313,9 @@ TEST(ServiceIngestTest, ConcurrentUploadSessionsCountSafely) {
     alice.Provision(server, server.training_measurement());
     bob.Provision(server, server.training_measurement());
 
-    data::DataPackager forger("alice", Bytes(32, 0x5a), 900);
+    crypto::HmacDrbg forger_drbg(BytesOf("forger"));
+    data::DataPackager forger("alice", Bytes(32, 0x5a), 900,
+                              crypto::SchnorrGenerate(forger_drbg));
     std::vector<data::EncryptedRecord> forged;
     Rng rng(37);
     data::SyntheticCifar gen;
@@ -324,7 +333,7 @@ TEST(ServiceIngestTest, ConcurrentUploadSessionsCountSafely) {
         // Chunked to interleave with the other sessions.
         for (std::size_t first = 0; first < records.size(); first += 8) {
           const std::size_t last = std::min(records.size(), first + 8);
-          (void)server.UploadRecords(std::vector<data::EncryptedRecord>(
+          (void)Upload(server, std::vector<data::EncryptedRecord>(
               records.begin() + static_cast<std::ptrdiff_t>(first),
               records.begin() + static_cast<std::ptrdiff_t>(last)));
         }
@@ -424,11 +433,14 @@ TEST(ServicePipelineTest, AsyncPathMatchesSyncPathAtEveryThreadCount) {
     util::ScopedThreads guard(1);
     core::TrainingServer server;
     core::Participant alice("alice", dataset, 211);
-    (void)alice.ProvisionAndUpload(server, server.training_measurement());
+    alice.Provision(server, server.training_measurement());
+    (void)Upload(server, alice.PackRecords());
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
-    (void)server.UploadRecords({bogus.Pack(gen.Sample(0, rng), 0)});
+    crypto::HmacDrbg forger_drbg(BytesOf("forger"));
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             crypto::SchnorrGenerate(forger_drbg));
+    (void)Upload(server, {bogus.Pack(gen.Sample(0, rng), 0)});
     (void)server.Train(nn::Table1Spec(32), FastOptions());
     sync.accepted = server.accepted_records();
     sync.rejected = server.rejected_records();
@@ -441,8 +453,9 @@ TEST(ServicePipelineTest, AsyncPathMatchesSyncPathAtEveryThreadCount) {
                                                     alice.data_key())
             .SerializeModel();
     core::QueryService query(std::move(server.model()), std::move(db));
+    nn::LayerWorkspace ws;
     for (const nn::Image& probe : probes) {
-      sync.reports.push_back(query.Investigate(probe, 5));
+      sync.reports.push_back(query.InvestigateWith(ws, probe, 5));
     }
   }
 
@@ -466,7 +479,9 @@ TEST(ServicePipelineTest, AsyncPathMatchesSyncPathAtEveryThreadCount) {
     auto r1 = service.SubmitUpload(session.value(), alice.PackRecords());
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
+    crypto::HmacDrbg forger_drbg(BytesOf("forger"));
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             crypto::SchnorrGenerate(forger_drbg));
     // The forged record must enqueue after alice's corpus to reproduce
     // the sync record order; wait for the first submission.
     ASSERT_TRUE(r1.get().ok());
