@@ -312,16 +312,22 @@ int main(int argc, char** argv) {
     const data::LabeledDataset serve_data =
         gen.Generate(serve_records, serve_rng);
     std::vector<bench::JsonBenchRow> rows;
-    RunServeIngest(serve_data, profile.seed, 1, /*async=*/false,
-                   /*journaled=*/false, rows);
-    for (const std::size_t batch : {std::size_t{8}, std::size_t{32}}) {
-      RunServeIngest(serve_data, profile.seed, batch, /*async=*/true,
+    // Each pass times every variant once, so a shared-host stall lands
+    // on one repetition of each; every repetition writes its own rows
+    // and the journal gate compares the best of each variant.  The
+    // journaled row at the largest batch size must stay within 10% of
+    // the plain async row at that size.
+    constexpr int kServeRepetitions = 5;
+    for (int rep = 0; rep < kServeRepetitions; ++rep) {
+      RunServeIngest(serve_data, profile.seed, 1, /*async=*/false,
                      /*journaled=*/false, rows);
+      for (const std::size_t batch : {std::size_t{8}, std::size_t{32}}) {
+        RunServeIngest(serve_data, profile.seed, batch, /*async=*/true,
+                       /*journaled=*/false, rows);
+      }
+      RunServeIngest(serve_data, profile.seed, 32, /*async=*/true,
+                     /*journaled=*/true, rows);
     }
-    // ISSUE 8 gate row: journaled ingest at the largest batch size must
-    // stay within 10% of the plain async row above.
-    RunServeIngest(serve_data, profile.seed, 32, /*async=*/true,
-                   /*journaled=*/true, rows);
     RunJournalAppend(rows);
     if (bench::WriteBenchJson(json_path, rows)) {
       std::printf("wrote serve-ingest bench rows to %s\n", json_path.c_str());

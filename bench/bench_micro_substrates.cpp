@@ -498,7 +498,9 @@ BENCHMARK_CAPTURE(BM_ConvForward, s16_L7_conv10_1x1_b1, nn::Shape{7, 7, 8},
                   10, 1, nn::Activation::kLinear)
     ->Repetitions(5);
 
-// The 2x2/2 max-pool after Table1Spec(16)'s second conv, batch 1.
+// The 2x2/2 max-pool after Table1Spec(16)'s second conv, batch 1.  It
+// reuses one input, so the branch predictor can learn its winners; the
+// _b4 row below rotates over distinct inputs, as training does.
 void BM_MaxPoolForward(benchmark::State& state) {
   Rng rng(6);
   const nn::MaxPoolLayer pool(nn::Shape{28, 28, 8}, 2, 2);
@@ -516,6 +518,85 @@ void BM_MaxPoolForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MaxPoolForward)->Name("BM_MaxPoolForward/28x28x8");
+
+/// Distinct inputs a rotating row cycles through, so no data-dependent
+/// branch sees the same pattern twice in a row.
+constexpr std::size_t kRotatingInputs = 16;
+
+// The same pool over one 4-sample training shard (items: samples).
+void BM_MaxPoolForwardRotating(benchmark::State& state) {
+  Rng rng(6);
+  const nn::MaxPoolLayer pool(nn::Shape{28, 28, 8}, 2, 2);
+  std::vector<nn::Batch> ins(kRotatingInputs, nn::Batch(4, pool.in_shape()));
+  for (nn::Batch& in : ins) {
+    for (float& x : in.data) x = rng.Gaussian();
+  }
+  nn::Batch out(4, pool.out_shape());
+  nn::LayerScratch scratch;
+  nn::LayerContext ctx;
+  ctx.training = true;
+  ctx.scratch = &scratch;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    pool.Forward(ins[next], out, ctx);
+    next = (next + 1) % kRotatingInputs;
+    benchmark::DoNotOptimize(out.data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
+}
+BENCHMARK(BM_MaxPoolForwardRotating)->Name("BM_MaxPoolForward/28x28x8_b4");
+
+// Table1Spec(16)'s first conv backward over one 4-sample training shard
+// on the Precise profile, as the enclave runs it with front_layers 2:
+// the activation-gradient pass, the bias sums and the backward GEMMs
+// (bottom layer, so no input gradient).  Each of the rotating inputs
+// keeps its own Forward state, so Backward reuses its lowering as in a
+// training step (items: samples).
+void BM_ConvLayerBackward(benchmark::State& state) {
+  util::ScopedThreads guard(1);
+  Rng rng(9);
+  const nn::Shape in_shape{28, 28, 3};
+  nn::ConvLayer conv(in_shape, 8, 3, 1, nn::Activation::kLeakyRelu);
+  conv.InitWeights(rng);
+  constexpr int kBatch = 4;
+  struct Input {
+    nn::Batch in, out, delta_out;
+    nn::LayerScratch scratch;
+  };
+  std::vector<Input> inputs(kRotatingInputs);
+  nn::LayerContext ctx;
+  ctx.training = true;
+  ctx.profile = nn::KernelProfile::kPrecise;
+  ctx.want_input_grad = false;
+  for (Input& input : inputs) {
+    input.in = nn::Batch(kBatch, in_shape);
+    input.out = nn::Batch(kBatch, conv.out_shape());
+    input.delta_out = nn::Batch(kBatch, conv.out_shape());
+    for (float& x : input.in.data) x = rng.Gaussian();
+    for (float& x : input.delta_out.data) x = rng.Gaussian();
+    ctx.scratch = &input.scratch;
+    conv.Forward(input.in, input.out, ctx);
+  }
+  nn::Batch delta_in(kBatch, in_shape);
+  nn::LayerGrads grads;
+  ctx.grads = &grads;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    Input& input = inputs[next];
+    next = (next + 1) % kRotatingInputs;
+    // Backward consumes the cached lowering once; `col` still holds it.
+    input.scratch.col_samples = kBatch;
+    ctx.scratch = &input.scratch;
+    conv.Backward(input.in, input.out, input.delta_out, delta_in, ctx);
+    benchmark::DoNotOptimize(grads.weight_grads.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["threads"] = 1;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kBatch);
+}
+BENCHMARK(BM_ConvLayerBackward)->Name("BM_ConvLayerBackward/s16_L1_conv8_3x3_b4");
 
 // The whole single-probe forward the investigate journey times as
 // nn.forward: EmbeddingAtLayer of Table1Spec(16) at the penultimate

@@ -103,7 +103,8 @@ float PartitionedTrainer::TrainBatch(const nn::Batch& input,
     // every worker sharing the const network with its own workspace.
     enclave_.Ecall([&] {
       TouchFrontNet(input.n);
-      util::ParallelFor(0, shards.size(), [&](std::size_t s) {
+      util::ParallelForChunked(0, shards.size(), 1,
+                               [&](std::size_t s, std::size_t) {
         nn::LayerWorkspace& ws = *shard_ws_[s];
         nn::SliceBatch(input, shards[s].begin, shards[s].end, ws.input);
         net_.ForwardRange(&ws.input, 0, k,
@@ -122,7 +123,8 @@ float PartitionedTrainer::TrainBatch(const nn::Batch& input,
   }
   if (k < total) {
     // BackNet forward + backward outside on the fast path.
-    util::ParallelFor(0, shards.size(), [&](std::size_t s) {
+    util::ParallelForChunked(0, shards.size(), 1,
+                             [&](std::size_t s, std::size_t) {
       nn::LayerWorkspace& ws = *shard_ws_[s];
       const nn::LayerContext ctx = shard_ctx(s, nn::KernelProfile::kFast);
       if (k == 0) {
@@ -144,7 +146,8 @@ float PartitionedTrainer::TrainBatch(const nn::Batch& input,
     }
     enclave_.Ecall([&] {
       TouchFrontNet(input.n);
-      util::ParallelFor(0, shards.size(), [&](std::size_t s) {
+      util::ParallelForChunked(0, shards.size(), 1,
+                               [&](std::size_t s, std::size_t) {
         net_.BackwardRange(0, k, shard_ctx(s, nn::KernelProfile::kPrecise),
                            *shard_ws_[s]);
       });

@@ -250,7 +250,7 @@ std::vector<char> TrainingServer::AuthenticateRecords(
 }
 
 std::size_t TrainingServer::CommitRecords(
-    const std::vector<data::EncryptedRecord>& records,
+    std::vector<data::EncryptedRecord> records,
     const std::vector<char>& accepted) {
   CALTRAIN_REQUIRE(records.size() == accepted.size(),
                    "accept-flag count != record count");
@@ -259,7 +259,7 @@ std::size_t TrainingServer::CommitRecords(
     util::MutexLock lock(records_mu_);
     for (std::size_t i = 0; i < records.size(); ++i) {
       if (accepted[i] != 0) {
-        records_.push_back(records[i]);
+        records_.push_back(std::move(records[i]));
         ++ok;
       }
     }

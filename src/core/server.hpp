@@ -151,12 +151,13 @@ class TrainingServer {
       const std::vector<data::EncryptedRecord>& records,
       std::size_t batch_size);
 
-  /// Appends the accepted records to the training set and folds the
-  /// rest into the rejection counter; returns the number accepted.
-  /// Thread-safe; the relative order of concurrent commits is the
-  /// caller's contract (serve::Service commits in ticket order, so the
-  /// record order is the submission order at any thread count).
-  std::size_t CommitRecords(const std::vector<data::EncryptedRecord>& records,
+  /// Moves the accepted records into the training set (no copy under
+  /// the store's lock) and folds the rest into the rejection counter;
+  /// returns the number accepted.  Thread-safe; the relative order of
+  /// concurrent commits is the caller's contract (serve::Service commits
+  /// in ticket order, so the record order is the submission order at any
+  /// thread count).
+  std::size_t CommitRecords(std::vector<data::EncryptedRecord> records,
                             const std::vector<char>& accepted);
 
   [[nodiscard]] std::size_t accepted_records() const noexcept {

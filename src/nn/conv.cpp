@@ -124,36 +124,23 @@ void ConvLayer::Backward(const Batch& in, const Batch& out,
     // Activation gradient, fused into the copy that lays delta out
     // wide: row f of delta_wide[m x cur*n] holds sample s0+si's filter
     // row at column offset si*n (matching the wide im2col layout).
+    // Leaky ReLU preserves sign, so the post-activation output
+    // determines which branch was taken.  Then the bias gradients:
+    // per-sample row sums (sample order, matching the seed's
+    // accumulation grouping on both profiles).
     for (int si = 0; si < cur; ++si) {
       const float* d_out = delta_out.Sample(s0 + si);
       const float* o = out.Sample(s0 + si);
+      float* rows = scratch.delta.data() + static_cast<std::size_t>(si) * n;
       for (std::size_t f = 0; f < m; ++f) {
-        const float* src = d_out + f * n;
-        const float* out_row = o + f * n;
-        float* dst = scratch.delta.data() + f * wn +
-                     static_cast<std::size_t>(si) * n;
-        if (!leaky) {
-          std::copy(src, src + n, dst);
+        if (leaky) {
+          LeakyReluGradient(d_out + f * n, o + f * n, n, kLeakySlope,
+                            rows + f * wn);
         } else {
-          // Leaky ReLU preserves sign, so the post-activation output
-          // determines which branch was taken.
-          for (std::size_t j = 0; j < n; ++j) {
-            dst[j] = out_row[j] < 0.0F ? src[j] * kLeakySlope : src[j];
-          }
+          std::copy(d_out + f * n, d_out + (f + 1) * n, rows + f * wn);
         }
       }
-    }
-
-    // Bias gradients: per-sample row sums of delta_wide (sample order,
-    // matching the seed's accumulation grouping on both profiles).
-    for (int si = 0; si < cur; ++si) {
-      for (std::size_t f = 0; f < m; ++f) {
-        float acc = 0.0F;
-        const float* row =
-            scratch.delta.data() + f * wn + static_cast<std::size_t>(si) * n;
-        for (std::size_t j = 0; j < n; ++j) acc += row[j];
-        grads.bias_grads[f] += acc;
-      }
+      AddRowSums(rows, m, n, wn, grads.bias_grads.data());
     }
 
     // Column buffer: when the whole batch was lowered as one block in

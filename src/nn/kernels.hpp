@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace caltrain::nn {
 
@@ -189,5 +190,25 @@ void Im2ColBatch(const float* in, std::size_t sample_stride, int batch,
 void Col2ImBatch(const float* col_wide, int batch, int channels, int height,
                  int width, int ksize, int stride, int pad, float* in,
                  std::size_t sample_stride);
+
+/// Branch-free elementwise training passes, each with the bits of the
+/// loop it documents on every input (-0.0, NaN payloads, inf, denormal).
+/// Leaky-ReLU gradient: delta[j] = out[j] < 0 ? grad[j] * slope : grad[j].
+void LeakyReluGradient(const float* grad, const float* out, std::size_t n,
+                       float slope, float* delta) noexcept;
+
+/// Bias-gradient row sums: for each row f in [0, rows)
+///   acc = 0; for j = 0..n-1: acc = acc + in[f*ld + j]; sums[f] += acc.
+void AddRowSums(const float* in, std::size_t rows, std::size_t n,
+                std::size_t ld, float* sums) noexcept;
+
+/// 2x2/2 max-pool of one [height x width] plane (both even, width >= 8)
+/// into [height/2 x width/2] `out`, with the plane index of each winner
+/// in `argmax`.  Per output, starting from (-inf, 0), the window's four
+/// elements (row-major) replace the best only when `>` it: ties keep
+/// the earlier element, NaN never wins, and an all-NaN or all--inf
+/// window keeps index 0.
+void MaxPool2x2(const float* plane, int height, int width, float* out,
+                std::int32_t* argmax) noexcept;
 
 }  // namespace caltrain::nn

@@ -1,4 +1,5 @@
-// Profile-independent kernels: batched-wide im2col / col2im.
+// Profile-independent kernels: batched-wide im2col / col2im, and the
+// branch-free elementwise training passes.
 //
 // Both lower a block of samples side by side into one wide column
 // buffer (see kernels.hpp).  For a same-size stride-1 conv (every conv
@@ -15,12 +16,37 @@
 #include "nn/kernels.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "util/threadpool.hpp"
 
 namespace caltrain::nn {
 
 namespace {
+// 4-lane vectors (one xmm on the baseline ISA); aligned(4): loads and
+// stores go to arbitrary float addresses.
+typedef float Vec4 __attribute__((vector_size(16), aligned(4)));
+typedef std::int32_t Vec4i __attribute__((vector_size(16), aligned(4)));
+
+inline Vec4 Load(const float* p) noexcept {
+  Vec4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Rows [0, R) of AddRowSums as R interleaved independent chains.
+template <std::size_t R>
+inline void AddRowSumsTile(const float* in, std::size_t n, std::size_t ld,
+                           float* sums) noexcept {
+  float acc[R] = {};
+  for (std::size_t j = 0; j < n; ++j) {
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) acc[r] += in[r * ld + j];
+  }
+  for (std::size_t r = 0; r < R; ++r) sums[r] += acc[r];
+}
+
 /// Lowerings moving fewer floats than this run inline: below it the
 /// pool hand-off costs more than the copy (shape-only, so results stay
 /// thread-count independent either way).
@@ -167,6 +193,75 @@ void Col2ImBatch(const float* col_wide, int batch, int channels, int height,
                   in + s * sample_stride +
                       static_cast<std::size_t>(c) * height * width);
   });
+}
+
+// Each pass computes every candidate and selects on the compare the
+// scalar loop branches on.  A select keeps the chosen operand's bits,
+// and the unchosen product is discarded, so the bits are the scalar
+// loop's; without the data-dependent branch (GCC neither if-converts
+// nor vectorizes the scalar form under -ftrapping-math) the passes run
+// at vector speed on data the branch predictor cannot learn.
+void LeakyReluGradient(const float* grad, const float* out, std::size_t n,
+                       float slope, float* delta) noexcept {
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const Vec4 g = Load(grad + j);
+    const Vec4 d = Load(out + j) < 0.0F ? g * slope : g;
+    std::memcpy(delta + j, &d, sizeof d);
+  }
+  for (; j < n; ++j) delta[j] = out[j] < 0.0F ? grad[j] * slope : grad[j];
+}
+
+void AddRowSums(const float* in, std::size_t rows, std::size_t n,
+                std::size_t ld, float* sums) noexcept {
+  std::size_t f = 0;
+  for (; f + 8 <= rows; f += 8) AddRowSumsTile<8>(in + f * ld, n, ld, sums + f);
+  if (f + 4 <= rows) {
+    AddRowSumsTile<4>(in + f * ld, n, ld, sums + f);
+    f += 4;
+  }
+  for (; f < rows; ++f) AddRowSumsTile<1>(in + f * ld, n, ld, sums + f);
+}
+
+void MaxPool2x2(const float* plane, int height, int width, float* out,
+                std::int32_t* argmax) noexcept {
+  const int out_w = width / 2;
+  const Vec4i even = {0, 2, 4, 6};
+  for (int oy = 0; oy < height / 2; ++oy) {
+    const std::int32_t top = 2 * oy * width;
+    const float* row0 = plane + top;
+    const float* row1 = row0 + width;
+    float* dst = out + static_cast<std::size_t>(oy) * out_w;
+    std::int32_t* winners = argmax + static_cast<std::size_t>(oy) * out_w;
+    // Four outputs a step: de-interleave the even and odd columns of
+    // both input rows, then run the window's chain lane-wise.  A row
+    // whose width is not a multiple of 4 ends with a step overlapping
+    // the previous one (it rewrites the same values).
+    const auto four = [&](int ox) {
+      const std::size_t col = 2 * static_cast<std::size_t>(ox);
+      const Vec4 t0 = Load(row0 + col);
+      const Vec4 t1 = Load(row0 + col + 4);
+      const Vec4 b0 = Load(row1 + col);
+      const Vec4 b1 = Load(row1 + col + 4);
+      const Vec4 cand[4] = {__builtin_shufflevector(t0, t1, 0, 2, 4, 6),
+                            __builtin_shufflevector(t0, t1, 1, 3, 5, 7),
+                            __builtin_shufflevector(b0, b1, 0, 2, 4, 6),
+                            __builtin_shufflevector(b0, b1, 1, 3, 5, 7)};
+      const Vec4i base = top + 2 * ox + even;
+      const Vec4i idx[4] = {base, base + 1, base + width, base + width + 1};
+      Vec4 best = Vec4{} - std::numeric_limits<float>::infinity();
+      Vec4i best_idx = {};
+      for (int e = 0; e < 4; ++e) {
+        const Vec4i wins = cand[e] > best;
+        best = wins ? cand[e] : best;
+        best_idx = wins ? idx[e] : best_idx;
+      }
+      std::memcpy(dst + ox, &best, sizeof best);
+      std::memcpy(winners + ox, &best_idx, sizeof best_idx);
+    };
+    for (int ox = 0; ox + 4 <= out_w; ox += 4) four(ox);
+    if (out_w % 4 != 0) four(out_w - 4);
+  }
 }
 
 }  // namespace caltrain::nn

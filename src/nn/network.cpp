@@ -295,7 +295,9 @@ float Network::TrainStep(const Batch& input, const std::vector<int>& labels,
   shard_rngs.reserve(shards.size());
   for (const TrainShard& shard : shards) shard_rngs.emplace_back(shard.rng_seed);
 
-  util::ParallelFor(0, shards.size(), [&](std::size_t s) {
+  // One shard at a time: a descheduled worker holds back one shard.
+  util::ParallelForChunked(0, shards.size(), 1,
+                           [&](std::size_t s, std::size_t) {
     const TrainShard& shard = shards[s];
     LayerWorkspace& ws = *shard_ws_[s];
     SliceBatch(input, shard.begin, shard.end, ws.input);

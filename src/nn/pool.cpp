@@ -28,10 +28,10 @@ void MaxPoolLayer::Forward(const Batch& in, Batch& out,
   // eval-mode ones included (gradient inversion).
   std::vector<std::int32_t>& argmax = ctx.scratch->argmax;
   argmax.resize(static_cast<std::size_t>(in.n) * out_shape_.Flat());
-  // 2x2/2 over even planes: every window is whole, so each output is
-  // the generic loop's four `>` tests unrolled in the same order (same
-  // winner on ties, NaN and -inf; an all-NaN window keeps index 0).
-  const bool two_by_two = ksize_ == 2 && stride_ == 2 &&
+  // 2x2/2 over even planes at least 8 wide: every window is whole, so
+  // the vectorized kernel's select chain gives the generic loop's
+  // winners (same winner on ties, NaN and -inf).
+  const bool two_by_two = ksize_ == 2 && stride_ == 2 && in_shape_.w >= 8 &&
                           in_shape_.w % 2 == 0 && in_shape_.h % 2 == 0;
 
   for (int s = 0; s < in.n; ++s) {
@@ -42,27 +42,14 @@ void MaxPoolLayer::Forward(const Batch& in, Batch& out,
     for (int c = 0; c < in_shape_.c; ++c) {
       const float* plane =
           src + static_cast<std::size_t>(c) * in_shape_.h * in_shape_.w;
+      if (two_by_two) {
+        const std::size_t off = static_cast<std::size_t>(c) * out_plane;
+        MaxPool2x2(plane, in_shape_.h, in_shape_.w, dst + off, winners + off);
+        continue;
+      }
       for (int oy = 0; oy < out_shape_.h; ++oy) {
         const std::size_t out_row =
             static_cast<std::size_t>(c) * out_plane + oy * out_shape_.w;
-        if (two_by_two) {
-          const std::int32_t top = 2 * oy * in_shape_.w;
-          for (int ox = 0; ox < out_shape_.w; ++ox) {
-            float best = -std::numeric_limits<float>::infinity();
-            std::int32_t best_idx = 0;
-            for (const std::int32_t idx :
-                 {top + 2 * ox, top + 2 * ox + 1, top + in_shape_.w + 2 * ox,
-                  top + in_shape_.w + 2 * ox + 1}) {
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = idx;
-              }
-            }
-            dst[out_row + ox] = best;
-            winners[out_row + ox] = best_idx;
-          }
-          continue;
-        }
         for (int ox = 0; ox < out_shape_.w; ++ox) {
           float best = -std::numeric_limits<float>::infinity();
           std::int32_t best_idx = 0;

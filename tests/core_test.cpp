@@ -152,6 +152,57 @@ TEST(PartitionedTrainerTest, PredictMatchesNetworkPredict) {
   }
 }
 
+/// FNV-1a hash of the per-batch losses of four partitioned
+/// Table1Spec(16) steps (batch 32) and of the weights after them.
+std::uint64_t TrainBatchHash(int front_layers, unsigned threads) {
+  util::ScopedThreads scoped(threads);
+  Rng rng(2022);
+  nn::Network net = nn::BuildNetwork(nn::Table1Spec(16), rng);
+  enclave::Enclave enclave(TestEnclaveConfig());
+  PartitionedTrainer trainer(net, enclave, front_layers);
+  nn::Batch batch(32, nn::Shape{28, 28, 3});
+  std::vector<int> labels(32);
+  nn::SgdConfig sgd;
+  Rng train_rng(2023);
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto fold = [&h](const void* p, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < size; ++i) h = (h ^ bytes[i]) * 1099511628211ULL;
+  };
+  for (int step = 0; step < 4; ++step) {
+    for (float& x : batch.data) x = rng.Gaussian();
+    for (int& label : labels) label = static_cast<int>(rng.NextU64() % 10);
+    const float loss = trainer.TrainBatch(batch, labels, sgd, train_rng);
+    fold(&loss, sizeof loss);
+  }
+  const Bytes weights = net.SerializeWeightRange(0, net.NumLayers());
+  fold(weights.data(), weights.size());
+  return h;
+}
+
+TEST(PartitionedTrainerTest, TrainBatchMatchesGoldenHash) {
+  // The constants pin every bit of the losses and weights, so a kernel
+  // rewrite that moves one bit of any gradient, activation or delta
+  // fails here.  With every layer in the enclave (Precise, strict IEEE)
+  // the bits are the same in every build.  With front_layers 2, as the
+  // `train` journey runs, the Fast back layers' bits follow the
+  // fast-math codegen: the constant is the one of the FMA tile clones
+  // (x86-64-v3 and up) in an uninstrumented GCC build.
+  const int all_layers = static_cast<int>(nn::Table1Spec(16).layers.size());
+  for (const unsigned threads : {1U, 4U}) {
+    EXPECT_EQ(TrainBatchHash(all_layers, threads), 0x6f18e0ab123d7e61ULL)
+        << "threads=" << threads;
+  }
+  const std::uint64_t split = TrainBatchHash(2, 1);
+  EXPECT_EQ(TrainBatchHash(2, 4), split);
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  if (__builtin_cpu_supports("x86-64-v3")) {
+    EXPECT_EQ(split, 0xdb1bcd64760d25b2ULL);
+  }
+#endif
+}
+
 TEST(PartitionedTrainerTest, SetFrontLayersMovesSplit) {
   Rng rng(93);
   nn::Network net = nn::BuildNetwork(nn::Table1Spec(32, 2), rng);

@@ -373,6 +373,71 @@ TEST(ConvTest, LeakyActivationApplied) {
   EXPECT_FLOAT_EQ(out.data[0], -0.2F);
 }
 
+float FloatFromBits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+TEST(ConvTest, LeakyGradientMatchesScalarLoopOnEdgeValues) {
+  // Every `out` class the ordered `out < 0` compare must route like the
+  // scalar branch (-0.0 and NaN take the identity side), against
+  // gradients whose bits must survive it: NaN payloads, signaling NaN,
+  // signed zeros, infinities, denormals.
+  const float edges[] = {
+      0.0F,         -0.0F,        1.5F,
+      -1.5F,        std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      FloatFromBits(0x7fc00000U), FloatFromBits(0xffc00001U),
+      FloatFromBits(0x7f800123U), FloatFromBits(0x00000001U),
+      FloatFromBits(0x80000001U), FloatFromBits(0x807fffffU),
+      std::numeric_limits<float>::denorm_min() * 3.0F};
+  constexpr std::size_t kEdges = sizeof edges / sizeof edges[0];
+  Rng rng(21);
+  for (const std::size_t n : {1U, 3U, 4U, 7U, 49U, 196U, 785U}) {
+    std::vector<float> grad(n), out(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      // Every (out, grad) edge pair appears in some lane position.
+      grad[j] = edges[(j + rng.UniformU64(kEdges)) % kEdges];
+      out[j] = edges[(j / kEdges + rng.UniformU64(kEdges)) % kEdges];
+    }
+    std::vector<float> expected(n), delta(n, -7.0F);
+    for (std::size_t j = 0; j < n; ++j) {
+      expected[j] = out[j] < 0.0F ? grad[j] * 0.1F : grad[j];
+    }
+    LeakyReluGradient(grad.data(), out.data(), n, 0.1F, delta.data());
+    ASSERT_EQ(0, std::memcmp(expected.data(), delta.data(), n * sizeof(float)))
+        << "n=" << n;
+  }
+}
+
+TEST(ConvTest, BiasRowSumsMatchScalarLoop) {
+  // Magnitudes spread over 2^60 make any regrouping of a row's adds
+  // change the sum; row counts on both sides of the interleave widths.
+  Rng rng(22);
+  for (const std::size_t rows : {1U, 3U, 4U, 8U, 10U, 13U}) {
+    for (const std::size_t n : {1U, 5U, 49U, 784U}) {
+      const std::size_t ld = 3 * n + 1;
+      std::vector<float> in(rows * ld);
+      for (float& v : in) {
+        v = rng.Gaussian() * std::ldexp(1.0F, static_cast<int>(
+                                                  rng.UniformU64(60)) - 30);
+      }
+      std::vector<float> expected(rows), sums(rows);
+      for (std::size_t f = 0; f < rows; ++f) {
+        sums[f] = expected[f] = rng.Gaussian();
+        float acc = 0.0F;
+        for (std::size_t j = 0; j < n; ++j) acc += in[f * ld + j];
+        expected[f] += acc;
+      }
+      AddRowSums(in.data(), rows, n, ld, sums.data());
+      ASSERT_EQ(0, std::memcmp(expected.data(), sums.data(),
+                               rows * sizeof(float)))
+          << "rows=" << rows << " n=" << n;
+    }
+  }
+}
+
 // Numeric-vs-analytic gradient check through a conv layer feeding a
 // quadratic loss L = 0.5 * sum(out^2), whose dL/dout = out.
 TEST(ConvTest, GradientCheckWeightsAndInput) {
@@ -544,15 +609,27 @@ TEST(MaxPoolTest, TwoByTwoFastPathMatchesGenericLoop) {
     Shape in;
     int ksize, stride;
   };
-  // Even planes take the 2x2 fast path; odd dims and other geometries
-  // take the generic loop.
+  // Even planes take the 2x2 fast path (vector steps of four outputs
+  // from 8 columns up, an overlapping last step when the output width
+  // is not a multiple of 4); odd dims and other geometries take the
+  // generic loop.
   for (const PoolCase& pc :
        {PoolCase{Shape{6, 4, 3}, 2, 2}, PoolCase{Shape{28, 28, 8}, 2, 2},
+        PoolCase{Shape{14, 14, 8}, 2, 2}, PoolCase{Shape{8, 2, 3}, 2, 2},
+        PoolCase{Shape{10, 6, 2}, 2, 2}, PoolCase{Shape{2, 2, 4}, 2, 2},
         PoolCase{Shape{7, 5, 2}, 2, 2}, PoolCase{Shape{6, 5, 2}, 2, 2},
         PoolCase{Shape{6, 6, 2}, 3, 2}, PoolCase{Shape{5, 5, 1}, 2, 1}}) {
     MaxPoolLayer pool(pc.in, pc.ksize, pc.stride);
     Batch in(2, pc.in);
-    for (float& v : in.data) v = static_cast<float>(rng.UniformU64(4)) - 1.5F;
+    // Sample 0 draws from a small alphabet (ties, -0.0 against 0.0);
+    // sample 1 only from NaN and -inf, so all-NaN, all--inf and mixed
+    // windows land in every lane.
+    const float alphabet[] = {-1.5F, -0.0F, 0.0F, 0.5F, 0.5F, nan, -inf};
+    const std::size_t sample = pc.in.Flat();
+    for (std::size_t i = 0; i < in.data.size(); ++i) {
+      in.data[i] = i < sample ? alphabet[rng.UniformU64(7)]
+                              : (rng.UniformU64(2) == 0 ? nan : -inf);
+    }
     // Plane 0 of sample 0 leads with hand-made windows: a tie, NaN
     // first / later, -inf, and an all-NaN window.
     const std::tuple<int, int, float> marks[] = {
@@ -561,7 +638,9 @@ TEST(MaxPoolTest, TwoByTwoFastPathMatchesGenericLoop) {
         {2, 0, -inf}, {2, 1, -inf}, {3, 0, -inf}, {3, 1, -inf},
         {2, 2, nan},  {2, 3, nan},  {3, 2, nan},  {3, 3, nan}};
     for (const auto& [y, x, v] : marks) {
-      in.data[static_cast<std::size_t>(y) * pc.in.w + x] = v;
+      if (y < pc.in.h && x < pc.in.w) {
+        in.data[static_cast<std::size_t>(y) * pc.in.w + x] = v;
+      }
     }
 
     std::vector<float> expected;

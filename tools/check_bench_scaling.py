@@ -192,8 +192,11 @@ def best_value(rows, op, field, pick=max):
 
 
 def check_journal_overhead(rows, require):
-    base = find_value(rows, JOURNAL_BASE_OP)
-    gated = find_value(rows, JOURNAL_GATED_OP)
+    # Each variant writes one row per repetition; the best of each is
+    # its least disturbed run, so a single shared-host stall cannot
+    # fail the gate.
+    base = best_value(rows, JOURNAL_BASE_OP, "items_per_s")
+    gated = best_value(rows, JOURNAL_GATED_OP, "items_per_s")
     if base is None or gated is None:
         # The serve-ingest rows live in BENCH_serve.json, not
         # BENCH_micro.json — skip quietly when this file has neither
